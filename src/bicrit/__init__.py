@@ -11,13 +11,11 @@ dynamics (:mod:`bicrit.valdyn`), and locus / transversality certificates
 from .arith import ExtVal, Factorization, INFINITY, factor, is_prime, val_p
 from .belyi import (
     BelyiPoly,
-    BicriticalMap,
     NCriticalForm,
     belyi_coeffs,
     canonical_k,
     conjugate_params,
     ncritical_form,
-    specialize,
 )
 from .errors import DomainError, ResourceBudgetError, UnsupportedParametersError
 from .idf import (
@@ -41,7 +39,6 @@ from .pcf import (
     integrality_certificate,
     jacobian,
     ncrit_counterexamples,
-    preperiodic_poly,
     reduce_map,
     solve_mod,
     transversality_check,

@@ -25,18 +25,16 @@ from fractions import Fraction
 from itertools import product
 from math import comb, factorial
 
-from .errors import DomainError
-from .polyring import QQ, FieldElem, SparsePoly, UniPoly
+from .errors import DomainError, ResourceBudgetError
+from .polyring import QQ, SparsePoly, UniPoly
 
 __all__ = [
     "BelyiPoly",
-    "BicriticalMap",
     "NCriticalForm",
     "belyi_coeffs",
     "canonical_k",
     "conjugate_params",
     "ncritical_form",
-    "specialize",
 ]
 
 
@@ -69,14 +67,6 @@ class BelyiPoly:
             acc = acc * x + b
         return acc * x ** (self.d - self.k)
 
-    def eval_unipoly(self, inner: UniPoly) -> UniPoly:
-        """B(inner) for a univariate inner polynomial over any ring."""
-        ring = inner.ring
-        acc = UniPoly.zero(ring)
-        for b in self.coeffs:
-            acc = acc * inner + UniPoly(ring, (ring.coerce(b),))
-        return acc * inner ** (self.d - self.k)
-
     def eval_sparse(self, inner: SparsePoly) -> SparsePoly:
         """B(inner) for a sparse multivariate inner polynomial."""
         ring = inner.ring
@@ -84,6 +74,18 @@ class BelyiPoly:
         for b in self.coeffs:
             acc = acc * inner + SparsePoly.constant(ring, inner.nvars, ring.coerce(b))
         return acc * inner ** (self.d - self.k)
+
+    def step(self, a, c, z: SparsePoly, budget: int) -> SparsePoly:
+        """One application a*B(z) + c, refused once it exceeds ``budget`` terms.
+
+        ``a`` and ``c`` are polynomials or scalars of z's ring.
+        """
+        z = a * self.eval_sparse(z) + c
+        if z.num_terms > budget:
+            raise ResourceBudgetError(
+                f"iterate of a*B(z) + c exceeded the {budget}-monomial budget"
+            )
+        return z
 
 
 def belyi_coeffs(d: int, k: int) -> BelyiPoly:
@@ -117,21 +119,6 @@ def conjugate_params(a: Fraction, c: Fraction, d: int, k: int):
     if a == 0:
         raise DomainError("a = 0 does not define a degree-d map")
     return a, Fraction(1) - a - Fraction(c), d - 1 - k
-
-
-@dataclass(frozen=True)
-class BicriticalMap:
-    """The two-parameter family a*B(z) + c with symbolic (a, c)."""
-
-    belyi: BelyiPoly
-
-    @property
-    def d(self) -> int:
-        return self.belyi.d
-
-    @property
-    def k(self) -> int:
-        return self.belyi.k
 
 
 @dataclass(frozen=True)
@@ -247,47 +234,3 @@ def ncritical_form(d: int, profile, gammas=None) -> NCriticalForm:
     )
     return NCriticalForm(d, profile, gam_vals, coeffs)
 
-
-def specialize(obj, a, c, gammas=None) -> UniPoly:
-    """Substitute parameters, returning a concrete polynomial in z.
-
-    The target domain is inferred from ``a``: a FieldElem lands in its
-    field, anything else in QQ.  a = 0 degenerates to the constant c.
-    """
-    if isinstance(a, FieldElem):
-        ring = a.field
-    else:
-        ring = QQ
-    a = ring.coerce(a)
-    c = ring.coerce(c)
-
-    if isinstance(obj, BelyiPoly):
-        obj = BicriticalMap(obj)
-    if isinstance(obj, BicriticalMap):
-        if gammas is not None:
-            raise DomainError("bicritical maps take no gamma values")
-        b = obj.belyi
-        dense = [ring.zero] * (b.d + 1)
-        for i, coeff in enumerate(b.coeffs):
-            dense[b.d - i] = a * ring.coerce(coeff)
-        poly = UniPoly(ring, dense)
-        return poly + UniPoly(ring, (c,))
-    if isinstance(obj, NCriticalForm):
-        dense = [ring.zero] * (obj.d + 1)
-        if obj.symbolic:
-            if gammas is None or len(tuple(gammas)) != 1:
-                raise DomainError("symbolic form needs exactly one gamma value")
-            g = ring.coerce(tuple(gammas)[0])
-            for e, cpoly in obj.coeffs:
-                val = ring.zero
-                for coeff in reversed(cpoly.coeffs):
-                    val = val * g + ring.coerce(coeff)
-                dense[e] = a * val
-        else:
-            if gammas is not None:
-                raise DomainError("numeric form takes no extra gamma values")
-            for e, coeff in obj.coeffs:
-                dense[e] = a * ring.coerce(coeff)
-        poly = UniPoly(ring, dense)
-        return poly + UniPoly(ring, (c,))
-    raise DomainError(f"cannot specialize {obj!r}")

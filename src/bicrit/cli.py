@@ -7,7 +7,8 @@ the ``command`` + ``inputs`` block of any JSON report reproduces the
 report byte for byte apart from the ``timings`` field.
 
 Exit codes: 0 success / mathematical PASS, 1 mathematical FAIL (a
-certificate check failed), 2 usage or resource errors.
+certificate check failed), 2 usage or resource errors, including a
+malformed flag value and a stdout closed before the report was written.
 """
 
 from __future__ import annotations
@@ -16,21 +17,17 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 import time
+from dataclasses import fields, is_dataclass
 from fractions import Fraction
 
 from . import __version__
 from .arith import ExtVal
 from .belyi import belyi_coeffs, ncritical_form
 from .errors import DomainError, ResourceBudgetError
-from .idf import (
-    IdfWitness,
-    conjecture_check,
-    find_idf_prime,
-    mordell_candidates,
-    scan_witnesses,
-)
+from .idf import conjecture_check, find_idf_prime, mordell_candidates, scan_witnesses
 from .pcf import (
     DEFAULT_MONOMIAL_BUDGET,
     critical_orbit_poly,
@@ -38,7 +35,7 @@ from .pcf import (
     ncrit_counterexamples,
     transversality_check,
 )
-from .polyring import NewtonPolygon, SparsePoly, UniPoly
+from .polyring import FieldElem
 from .valdyn import ValParams, classify_case, divergence_certificate, orbit_val
 
 __all__ = ["main", "entry"]
@@ -47,62 +44,37 @@ EXIT_OK = 0
 EXIT_MATH_FAIL = 1
 EXIT_USAGE = 2
 
-_CSV_COMMANDS = {"idf scan", "idf mordell"}
-
 
 # ---------------------------------------------------------------------------
-# exact serialization helpers
+# exact serialization
 # ---------------------------------------------------------------------------
 
 
-def _frac(x: Fraction) -> str:
-    x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+def _exact(obj):
+    """The JSON form of a report value: integers and rationals as strings."""
+    if obj is None or isinstance(obj, (bool, str)):
+        return obj
+    if isinstance(obj, (int, Fraction)):
+        return str(obj)
+    if isinstance(obj, ExtVal):
+        return "inf" if obj.is_infinite else str(obj.finite)
+    if isinstance(obj, FieldElem):
+        return [str(c) for c in obj.coeffs]
+    if isinstance(obj, (list, tuple)):
+        return [_exact(x) for x in obj]
+    if isinstance(obj, dict):
+        return {_exact(k): _exact(v) for k, v in obj.items()}
+    if is_dataclass(obj):
+        return {f.name: _exact(getattr(obj, f.name)) for f in fields(obj)}
+    raise TypeError(f"no exact serialization for {type(obj).__name__}")
 
 
-def _extval(v: ExtVal) -> str:
-    return "inf" if v.is_infinite else _frac(v.finite)
-
-
-def _unipoly(p: UniPoly, var: str) -> dict:
-    return {
-        "variable": var,
-        "coefficients": [_frac(c) for c in p.coeffs],
-        "text": p.render(var),
-    }
-
-
-def _sparse(p: SparsePoly) -> dict:
-    return {
-        ",".join(str(e) for e in exps): _frac(c)
-        for exps, c in sorted(p.terms.items())
-    }
-
-
-def _witness(w: IdfWitness | None) -> dict | None:
-    if w is None:
-        return None
-    return {"p": str(w.p), "r": str(w.r), "e": str(w.e)}
-
-
-def _polygon(np: NewtonPolygon | None) -> dict | None:
-    if np is None:
-        return None
-    return {
-        "p": str(np.p),
-        "vanishing_order": str(np.vanishing_order),
-        "segments": [
-            {"slope": _frac(s.slope), "length": str(s.length)} for s in np.segments
-        ],
-        "root_valuations": [
-            {"valuation": _extval(v), "multiplicity": str(m)}
-            for v, m in np.root_valuations()
-        ],
-    }
-
-
-def _field_elem(x) -> list[str]:
-    return [str(c) for c in x.coeffs]
+def _parse(flag: str, text: str, convert):
+    """convert(text); a malformed flag value is a usage error, not a FAIL."""
+    try:
+        return convert(text)
+    except (ValueError, ZeroDivisionError) as ex:
+        raise DomainError(f"--{flag}: cannot read {text!r} ({ex})") from ex
 
 
 # ---------------------------------------------------------------------------
@@ -112,74 +84,73 @@ def _field_elem(x) -> list[str]:
 
 def _h_belyi_coeffs(ns):
     b = belyi_coeffs(ns.d, ns.k)
+    z = b.polynomial()
     payload = {
-        "d": str(b.d),
-        "k": str(b.k),
-        "b": [_frac(c) for c in b.coeffs],
-        "polynomial": _unipoly(b.polynomial(), "z"),
+        "d": b.d,
+        "k": b.k,
+        "b": b.coeffs,
+        "polynomial": {"variable": "z", "coefficients": z.coeffs, "text": z.render("z")},
     }
     return payload, "OK", EXIT_OK, None
 
 
 def _h_belyi_ncrit(ns):
-    profile = [int(t) for t in ns.profile.split(",") if t.strip()]
+    profile = _parse(
+        "profile", ns.profile, lambda s: [int(t) for t in s.split(",") if t.strip()]
+    )
     if ns.gamma is None or ns.gamma.strip().lower() in ("sym", "symbolic"):
         gammas = None
     else:
-        gammas = [Fraction(t) for t in ns.gamma.split(",") if t.strip()]
+        gammas = _parse(
+            "gamma", ns.gamma, lambda s: [Fraction(t) for t in s.split(",") if t.strip()]
+        )
     form = ncritical_form(ns.d, profile, gammas)
-    coeffs = {}
-    for e, c in form.coeffs:
-        if form.symbolic:
-            coeffs[str(e)] = {"gamma_poly": [_frac(x) for x in c.coeffs]}
-        else:
-            coeffs[str(e)] = _frac(c)
     payload = {
-        "d": str(form.d),
-        "profile": [str(k) for k in form.profile],
+        "d": form.d,
+        "profile": form.profile,
         "symbolic": form.symbolic,
-        "gammas": None if form.gammas is None else [_frac(g) for g in form.gammas],
-        "coefficients_by_z_power": coeffs,
+        "gammas": form.gammas,
+        "coefficients_by_z_power": {
+            e: {"gamma_poly": c.coeffs} if form.symbolic else c for e, c in form.coeffs
+        },
     }
     return payload, "OK", EXIT_OK, None
 
 
 def _h_idf_find(ns):
     w = find_idf_prime(ns.d, ns.k)
-    payload = {"d": str(ns.d), "k": str(ns.k), "witness": _witness(w)}
-    return payload, ("FOUND" if w else "NONE"), EXIT_OK, None
+    return {"d": ns.d, "k": ns.k, "witness": w}, ("FOUND" if w else "NONE"), EXIT_OK, None
 
 
 def _h_idf_conjecture(ns):
     w = conjecture_check(ns.n, ns.k)
-    payload = {"n": str(ns.n), "k": str(ns.k), "witness": _witness(w)}
-    return payload, ("FOUND" if w else "NONE"), EXIT_OK, None
+    return {"n": ns.n, "k": ns.k, "witness": w}, ("FOUND" if w else "NONE"), EXIT_OK, None
 
 
 def _h_idf_scan(ns):
-    dmin = 2 * ns.k + 2 if ns.dmin is None else ns.dmin
-    ns.dmin = dmin  # echoed in the inputs block for exact re-runs
+    if ns.dmin is None:
+        ns.dmin = 2 * ns.k + 2  # echoed in the inputs block for exact re-runs
     print(
-        f"scanning k={ns.k}, d in [{dmin}, {ns.dmax}], jobs={ns.jobs}",
+        f"scanning k={ns.k}, d in [{ns.dmin}, {ns.dmax}], jobs={ns.jobs}",
         file=sys.stderr,
     )
-    witnesses = scan_witnesses(dmin, ns.dmax, ns.k, jobs=ns.jobs)
+    witnesses = scan_witnesses(ns.dmin, ns.dmax, ns.k, jobs=ns.jobs)
     rows = [
         {
-            "d": str(d),
-            "k": str(ns.k),
+            "d": d,
+            "k": ns.k,
             "has_idf": "false" if w is None else "true",
-            "p": "" if w is None else str(w.p),
-            "r": "" if w is None else str(w.r),
-            "e": "" if w is None else str(w.e),
+            "p": "" if w is None else w.p,
+            "r": "" if w is None else w.r,
+            "e": "" if w is None else w.e,
         }
         for d, w in witnesses
     ]
     payload = {
-        "dmin": str(dmin),
-        "dmax": str(ns.dmax),
-        "k": str(ns.k),
-        "exceptions": [str(d) for d, w in witnesses if w is None],
+        "dmin": ns.dmin,
+        "dmax": ns.dmax,
+        "k": ns.k,
+        "exceptions": [d for d, w in witnesses if w is None],
         "range_note": "certifies only the scanned range; larger d are not decided",
         "rows": rows,
     }
@@ -187,30 +158,17 @@ def _h_idf_scan(ns):
 
 
 def _h_idf_mordell(ns):
-    cands = mordell_candidates(ns.xmax)
     rows = [
-        {
-            "x": str(m.x),
-            "y": str(m.y),
-            "b": str(m.b),
-            "c": str(m.c),
-            "d": str(m.d),
-        }
-        for m in cands
+        {"x": m.x, "y": m.y, "b": m.b, "c": m.c, "d": m.d}
+        for m in mordell_candidates(ns.xmax)
     ]
-    payload = {"xmax": str(ns.xmax), "candidates": rows}
-    return payload, "OK", EXIT_OK, rows
+    return {"xmax": ns.xmax, "candidates": rows}, "OK", EXIT_OK, rows
 
 
 def _val_params(ns) -> ValParams:
-    return ValParams(
-        ns.d,
-        ns.k,
-        ns.r,
-        ns.e,
-        ExtVal.parse(ns.valpha),
-        ExtVal.parse(ns.vbeta),
-    )
+    v_alpha = _parse("valpha", ns.valpha, ExtVal.parse)
+    v_beta = _parse("vbeta", ns.vbeta, ExtVal.parse)
+    return ValParams(ns.d, ns.k, ns.r, ns.e, v_alpha, v_beta)
 
 
 def _h_valdyn_orbit(ns):
@@ -222,18 +180,14 @@ def _h_valdyn_orbit(ns):
         c = divergence_certificate(params)
         cert = {
             "kind": c.kind,
-            "start": str(c.start),
-            "steps": [
-                {"value": _extval(t.value), "exact": t.exact} for t in c.steps
-            ],
-            "step_decrement": None
-            if c.step_decrement is None
-            else _frac(c.step_decrement),
+            "start": c.start,
+            "steps": c.steps,
+            "step_decrement": c.step_decrement,
         }
     payload = {
         "case": case.value,
         "orbit": [
-            {"step": str(i + 1), "value": _extval(t.value), "exact": t.exact}
+            {"step": i + 1, "value": t.value, "exact": t.exact}
             for i, t in enumerate(steps)
         ],
         "certificate": cert,
@@ -247,75 +201,71 @@ def _h_valdyn_classify(ns):
 
 
 def _h_pcf_locus(ns):
-    F = critical_orbit_poly(ns.d, ns.k, 0, ns.n, ns.budget)
-    G = critical_orbit_poly(ns.d, ns.k, 1, ns.m, ns.budget)
-    payload = {
-        "d": str(ns.d),
-        "k": str(ns.k),
-        "n": str(ns.n),
-        "m": str(ns.m),
-        "F": _sparse(F.poly),
-        "G": _sparse(G.poly),
-    }
+    payload = {"d": ns.d, "k": ns.k, "n": ns.n, "m": ns.m}
+    for name, which, period in (("F", 0, ns.n), ("G", 1, ns.m)):
+        poly = critical_orbit_poly(ns.d, ns.k, which, period, ns.budget).poly
+        payload[name] = {",".join(map(str, e)): c for e, c in poly.terms.items()}
     return payload, "OK", EXIT_OK, None
 
 
 def _h_pcf_integrality(ns):
     cert = integrality_certificate(ns.d, ns.k, ns.n, ns.m, ns.budget)
     payload = {
-        "d": str(ns.d),
-        "k": str(ns.k),
-        "n": str(ns.n),
-        "m": str(ns.m),
-        "witness": _witness(cert.witness),
-        "res_a": _unipoly(cert.res_a, "a"),
-        "res_c": _unipoly(cert.res_c, "c"),
-        "stripped_a_power": str(cert.stripped_a_power),
-        "stripped_a_content": _frac(cert.stripped_a_content),
-        "stripped_c_content": _frac(cert.stripped_c_content),
-        "newton_polygon_a": _polygon(cert.polygon_a),
-        "newton_polygon_c": _polygon(cert.polygon_c),
+        "d": ns.d,
+        "k": ns.k,
+        "n": ns.n,
+        "m": ns.m,
+        "witness": cert.witness,
+        "stripped_a_power": cert.stripped_a_power,
+        "stripped_a_content": cert.stripped_a_content,
+        "stripped_c_content": cert.stripped_c_content,
         "a_valuations_all_zero": cert.a_valuations_all_zero,
         "c_valuations_nonnegative": cert.c_valuations_nonnegative,
     }
+    for var, res, np in (
+        ("a", cert.res_a, cert.polygon_a),
+        ("c", cert.res_c, cert.polygon_c),
+    ):
+        payload[f"res_{var}"] = {
+            "variable": var,
+            "coefficients": res.coeffs,
+            "text": res.render(var),
+        }
+        payload[f"newton_polygon_{var}"] = None if np is None else {
+            "p": np.p,
+            "vanishing_order": np.vanishing_order,
+            "segments": np.segments,
+            "root_valuations": [
+                {"valuation": v, "multiplicity": mult} for v, mult in np.root_valuations()
+            ],
+        }
     code = EXIT_OK if cert.verdict == "PASS" else EXIT_MATH_FAIL
     return payload, cert.verdict, code, None
 
 
 def _h_pcf_transversality(ns):
     rep = transversality_check(ns.d, ns.k, ns.n, ns.m, e_max=ns.emax, budget=ns.budget)
-    fields = []
-    for res in rep.per_field:
-        fields.append(
+
+    def solution(s):
+        return {"alpha": s.alpha, "beta": s.beta, "jacobian": s.jacobian_value}
+
+    payload = {
+        "d": ns.d,
+        "k": ns.k,
+        "n": ns.n,
+        "m": ns.m,
+        "e_max": ns.emax,
+        "witness": rep.witness,
+        "per_field": [
             {
                 "field": repr(res.field),
-                "excluded_alpha_zero": str(res.excluded_alpha_zero),
-                "solutions": [
-                    {
-                        "alpha": _field_elem(s.alpha),
-                        "beta": _field_elem(s.beta),
-                        "jacobian": _field_elem(s.jacobian_value),
-                    }
-                    for s in res.solutions
-                ],
+                "excluded_alpha_zero": res.excluded_alpha_zero,
+                "solutions": [solution(s) for s in res.solutions],
             }
-        )
-    payload = {
-        "d": str(ns.d),
-        "k": str(ns.k),
-        "n": str(ns.n),
-        "m": str(ns.m),
-        "e_max": str(ns.emax),
-        "witness": _witness(rep.witness),
-        "per_field": fields,
-        "alpha_jacobian_signs": [str(s) for s in rep.signs],
-        "failure": None
-        if rep.failure is None
-        else {
-            "alpha": _field_elem(rep.failure.alpha),
-            "beta": _field_elem(rep.failure.beta),
-            "jacobian": _field_elem(rep.failure.jacobian_value),
-        },
+            for res in rep.per_field
+        ],
+        "alpha_jacobian_signs": rep.signs,
+        "failure": None if rep.failure is None else solution(rep.failure),
     }
     code = EXIT_OK if rep.verdict == "PASS" else EXIT_MATH_FAIL
     return payload, rep.verdict, code, None
@@ -328,21 +278,74 @@ def _h_pcf_counterexamples(ns):
         "degree4_profile_1_1_coefficients_match": rep.degree4_coeffs_match,
         "reduced_quartic_mod_3": rep.reduced_quartic,
         "jacobian_identically_zero_mod_3": rep.jacobian_identically_zero,
-        "periods_checked": [
-            ",".join(str(x) for x in trip) for trip in rep.periods_checked
-        ],
+        "periods_checked": [",".join(map(str, trip)) for trip in rep.periods_checked],
     }
     code = EXIT_OK if rep.verdict == "CONFIRMED" else EXIT_MATH_FAIL
     return payload, rep.verdict, code, None
 
 
 # ---------------------------------------------------------------------------
-# parser
+# command table: argparse options and the report's inputs block
 # ---------------------------------------------------------------------------
 
+_INT = {"type": int, "required": True}
+_VALUATION = {"required": True, "help": "a valuation: rational or 'inf'"}
+_LOCUS = {"d": _INT, "k": _INT, "n": _INT, "m": _INT}
+_VALDYN = {
+    "d": _INT, "k": _INT, "r": _INT, "e": _INT, "valpha": _VALUATION, "vbeta": _VALUATION
+}
+_MONOMIALS = {
+    "type": int,
+    "default": DEFAULT_MONOMIAL_BUDGET,
+    "help": "cap on the monomials of the orbit polynomials F_n and G_m",
+}
 
-def _int_flag(parser, name, required=True, default=None, help=""):
-    parser.add_argument(name, type=int, required=required, default=default, help=help)
+GROUPS = {
+    "belyi": "critical-point normal forms",
+    "idf": "index-divisor-free prime search",
+    "valdyn": "min-plus valuation dynamics",
+    "pcf": "locus and transversality certificates",
+}
+
+# (group, command, handler, help, {option: add_argument keywords})
+COMMANDS = [
+    ("belyi", "coeffs", _h_belyi_coeffs, "normal-form coefficients",
+     {"d": _INT, "k": _INT}),
+    ("belyi", "ncrit", _h_belyi_ncrit, "n-critical normal form", {
+        "d": _INT,
+        "profile": {"required": True, "help": "comma-separated k_0,..,k_{n-2}"},
+        "gamma": {"help": "'sym' for a symbolic gamma, or comma-separated rationals"},
+    }),
+    ("idf", "find", _h_idf_find, "smallest IDF witness", {"d": _INT, "k": _INT}),
+    ("idf", "scan", _h_idf_scan, "scan a degree range", {
+        "dmin": {"type": int, "help": "default: 2k + 2"},
+        "dmax": {"type": int, "default": 10**5},
+        "k": _INT,
+        "jobs": {"type": int, "default": 1, "help": "parallel workers"},
+    }),
+    ("idf", "mordell", _h_idf_mordell, "bounded Mordell sieve", {"xmax": _INT}),
+    ("idf", "conjecture", _h_idf_conjecture, "witness over n(n-1)...(n-k)",
+     {"n": _INT, "k": _INT}),
+    ("valdyn", "orbit", _h_valdyn_orbit, "orbit valuation bounds", {
+        **_VALDYN,
+        "start": {"type": int, "choices": (0, 1), "required": True},
+        "steps": {"type": int, "default": 8},
+    }),
+    ("valdyn", "classify", _h_valdyn_classify, "parameter case tag", _VALDYN),
+    ("pcf", "locus", _h_pcf_locus, "F_n and G_m", {**_LOCUS, "budget": _MONOMIALS}),
+    ("pcf", "integrality", _h_pcf_integrality, "Newton-polygon certificate",
+     {**_LOCUS, "budget": _MONOMIALS}),
+    ("pcf", "transversality", _h_pcf_transversality, "Jacobian mod p", {
+        **_LOCUS,
+        "emax": {"type": int, "default": 1, "help": "largest extension degree"},
+        "budget": {
+            "type": int,
+            "default": DEFAULT_MONOMIAL_BUDGET,
+            "help": "cap on the p^(2e) field points enumerated for each e",
+        },
+    }),
+    ("pcf", "counterexamples", _h_pcf_counterexamples, "n-critical failure checks", {}),
+]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -352,119 +355,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     top.add_argument("--version", action="version", version=__version__)
     sub = top.add_subparsers(dest="group", required=True)
-
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format", choices=("json", "csv"), default="json", help="output format"
-    )
-
-    budget = argparse.ArgumentParser(add_help=False)
-    budget.add_argument(
-        "--budget",
-        type=int,
-        default=DEFAULT_MONOMIAL_BUDGET,
-        help="monomial budget for symbolic computations",
-    )
-
-    # belyi -----------------------------------------------------------------
-    belyi = sub.add_parser("belyi", help="critical-point normal forms")
-    bsub = belyi.add_subparsers(dest="cmd", required=True)
-    bc = bsub.add_parser("coeffs", parents=[common], help="normal-form coefficients")
-    _int_flag(bc, "--d")
-    _int_flag(bc, "--k")
-    bc.set_defaults(handler=_h_belyi_coeffs, inputs=("d", "k"))
-    bn = bsub.add_parser("ncrit", parents=[common], help="n-critical normal form")
-    _int_flag(bn, "--d")
-    bn.add_argument("--profile", required=True, help="comma-separated k_0,..,k_{n-2}")
-    bn.add_argument(
-        "--gamma",
-        default=None,
-        help="'sym' for a symbolic gamma, or comma-separated rationals",
-    )
-    bn.set_defaults(handler=_h_belyi_ncrit, inputs=("d", "profile", "gamma"))
-
-    # idf -------------------------------------------------------------------
-    idf = sub.add_parser("idf", help="index-divisor-free prime search")
-    isub = idf.add_subparsers(dest="cmd", required=True)
-    ifind = isub.add_parser("find", parents=[common], help="smallest IDF witness")
-    _int_flag(ifind, "--d")
-    _int_flag(ifind, "--k")
-    ifind.set_defaults(handler=_h_idf_find, inputs=("d", "k"))
-    iscan = isub.add_parser("scan", parents=[common], help="scan a degree range")
-    _int_flag(iscan, "--dmin", required=False, help="default: 2k + 2")
-    _int_flag(iscan, "--dmax", required=False, default=10**5)
-    _int_flag(iscan, "--k")
-    iscan.add_argument("--jobs", type=int, default=1, help="parallel workers")
-    iscan.set_defaults(handler=_h_idf_scan, inputs=("dmin", "dmax", "k", "jobs"))
-    imord = isub.add_parser("mordell", parents=[common], help="bounded Mordell sieve")
-    _int_flag(imord, "--xmax")
-    imord.set_defaults(handler=_h_idf_mordell, inputs=("xmax",))
-    iconj = isub.add_parser(
-        "conjecture", parents=[common], help="witness over n(n-1)...(n-k)"
-    )
-    _int_flag(iconj, "--n")
-    _int_flag(iconj, "--k")
-    iconj.set_defaults(handler=_h_idf_conjecture, inputs=("n", "k"))
-
-    # valdyn ----------------------------------------------------------------
-    vd = sub.add_parser("valdyn", help="min-plus valuation dynamics")
-    vsub = vd.add_subparsers(dest="cmd", required=True)
-
-    def _vd_flags(p, with_orbit):
-        _int_flag(p, "--d")
-        _int_flag(p, "--k")
-        _int_flag(p, "--r")
-        _int_flag(p, "--e")
-        p.add_argument("--valpha", required=True, help="v(alpha): rational or 'inf'")
-        p.add_argument("--vbeta", required=True, help="v(beta): rational or 'inf'")
-        if with_orbit:
-            p.add_argument("--start", type=int, choices=(0, 1), required=True)
-            p.add_argument("--steps", type=int, default=8)
-
-    vorb = vsub.add_parser("orbit", parents=[common], help="orbit valuation bounds")
-    _vd_flags(vorb, with_orbit=True)
-    vorb.set_defaults(
-        handler=_h_valdyn_orbit,
-        inputs=("d", "k", "r", "e", "valpha", "vbeta", "start", "steps"),
-    )
-    vcls = vsub.add_parser("classify", parents=[common], help="parameter case tag")
-    _vd_flags(vcls, with_orbit=False)
-    vcls.set_defaults(
-        handler=_h_valdyn_classify, inputs=("d", "k", "r", "e", "valpha", "vbeta")
-    )
-
-    # pcf -------------------------------------------------------------------
-    pcf = sub.add_parser("pcf", help="locus and transversality certificates")
-    psub = pcf.add_subparsers(dest="cmd", required=True)
-
-    def _locus_flags(p):
-        _int_flag(p, "--d")
-        _int_flag(p, "--k")
-        _int_flag(p, "--n")
-        _int_flag(p, "--m")
-
-    plocus = psub.add_parser("locus", parents=[common, budget], help="F_n and G_m")
-    _locus_flags(plocus)
-    plocus.set_defaults(handler=_h_pcf_locus, inputs=("d", "k", "n", "m", "budget"))
-    pint = psub.add_parser(
-        "integrality", parents=[common, budget], help="Newton-polygon certificate"
-    )
-    _locus_flags(pint)
-    pint.set_defaults(
-        handler=_h_pcf_integrality, inputs=("d", "k", "n", "m", "budget")
-    )
-    ptrv = psub.add_parser(
-        "transversality", parents=[common, budget], help="Jacobian mod p"
-    )
-    _locus_flags(ptrv)
-    ptrv.add_argument("--emax", type=int, default=1, help="largest extension degree")
-    ptrv.set_defaults(
-        handler=_h_pcf_transversality, inputs=("d", "k", "n", "m", "emax", "budget")
-    )
-    pctr = psub.add_parser(
-        "counterexamples", parents=[common], help="n-critical failure checks"
-    )
-    pctr.set_defaults(handler=_h_pcf_counterexamples, inputs=())
+    groups = {
+        name: sub.add_parser(name, help=text).add_subparsers(dest="cmd", required=True)
+        for name, text in GROUPS.items()
+    }
+    for group, cmd, handler, text, options in COMMANDS:
+        p = groups[group].add_parser(cmd, help=text)
+        p.add_argument(
+            "--format", choices=("json", "csv"), default="json", help="output format"
+        )
+        for name, keywords in options.items():
+            p.add_argument(f"--{name}", **keywords)
+        p.set_defaults(handler=handler, inputs=tuple(options))
     return top
 
 
@@ -492,33 +394,43 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     elapsed_us = int((time.perf_counter() - started) * 1_000_000)
 
-    if ns.format == "csv":
-        command = f"{ns.group} {ns.cmd}"
-        if command not in _CSV_COMMANDS or rows is None:
-            print("error: csv output is available for scan tables only", file=sys.stderr)
-            return EXIT_USAGE
-        sys.stdout.write(_emit_csv(rows))
-        return code
-
-    report = {
-        "schema": "bicrit.report/1",
-        "tool_version": __version__,
-        "command": f"{ns.group} {ns.cmd}",
-        "inputs": {
-            name: ("" if getattr(ns, name) is None else str(getattr(ns, name)))
-            for name in ns.inputs
-        },
-        "verdict": verdict,
-        "result": payload,
-        "timings": {"elapsed_us": str(elapsed_us)},
-    }
-    json.dump(report, sys.stdout, sort_keys=True, indent=2)
-    sys.stdout.write("\n")
+    if ns.format == "csv" and rows is None:
+        print("error: csv output is available for scan tables only", file=sys.stderr)
+        return EXIT_USAGE
+    try:
+        if ns.format == "csv":
+            sys.stdout.write(_emit_csv(rows))
+            return code
+        report = {
+            "schema": "bicrit.report/1",
+            "tool_version": __version__,
+            "command": f"{ns.group} {ns.cmd}",
+            "inputs": {
+                name: "" if getattr(ns, name) is None else getattr(ns, name)
+                for name in ns.inputs
+            },
+            "verdict": verdict,
+            "result": payload,
+            "timings": {"elapsed_us": elapsed_us},
+        }
+        json.dump(_exact(report), sys.stdout, sort_keys=True, indent=2)
+        sys.stdout.write("\n")
+    except BrokenPipeError:
+        print("error: stdout was closed before the report was written", file=sys.stderr)
+        return EXIT_USAGE
     return code
 
 
 def entry() -> None:
-    sys.exit(main())
+    code = main()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: drop what is still buffered instead of letting
+        # the interpreter's own flush at exit fail a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_USAGE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

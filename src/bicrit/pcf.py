@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import val_p
-from .belyi import BelyiPoly, belyi_coeffs, ncritical_form
+from .belyi import belyi_coeffs, ncritical_form
 from .errors import DomainError, ResourceBudgetError, UnsupportedParametersError
 from .idf import IdfWitness, find_idf_prime
 from .polyring import (
@@ -57,7 +57,6 @@ __all__ = [
     "integrality_certificate",
     "jacobian",
     "ncrit_counterexamples",
-    "preperiodic_poly",
     "reduce_map",
     "solve_mod",
     "transversality_check",
@@ -74,22 +73,7 @@ class CriticalOrbitPoly:
     k: int
     which: int  # 0 or 1: which critical point
     n: int
-    kind: str  # "periodic" | "preperiodic"
-    preperiod: tuple[int, int] | None
     poly: SparsePoly  # in (a, c) over QQ
-
-
-def _orbit_iterate(belyi: BelyiPoly, start: int, steps: int, budget: int) -> SparsePoly:
-    a = SparsePoly.variable(QQ, 2, _A)
-    c = SparsePoly.variable(QQ, 2, _C)
-    z = SparsePoly.constant(QQ, 2, Fraction(start))
-    for _ in range(steps):
-        z = a * belyi.eval_sparse(z) + c
-        if z.num_terms > budget:
-            raise ResourceBudgetError(
-                f"orbit polynomial exceeded the {budget}-monomial budget"
-            )
-    return z
 
 
 def critical_orbit_poly(
@@ -105,26 +89,12 @@ def critical_orbit_poly(
         raise ResourceBudgetError(
             f"degree d^(n-1) = {d ** (n - 1)} exceeds the budget {budget}"
         )
-    poly = _orbit_iterate(belyi, which, n, budget)
-    if which == 1:
-        poly = poly - SparsePoly.constant(QQ, 2, Fraction(1))
-    return CriticalOrbitPoly(d, k, which, n, "periodic", None, poly)
-
-
-def preperiodic_poly(
-    d: int, k: int, which: int, n0: int, m0: int, budget: int = DEFAULT_MONOMIAL_BUDGET
-) -> CriticalOrbitPoly:
-    """f^{n0}(x) - f^{m0}(x) for x = 0 or 1: the preperiod-(n0, m0) relation."""
-    if which not in (0, 1):
-        raise DomainError("which must be 0 or 1")
-    if not n0 > m0 >= 0:
-        raise DomainError("need n0 > m0 >= 0")
-    belyi = belyi_coeffs(d, k)
-    if d ** max(n0 - 1, 0) > budget:
-        raise ResourceBudgetError("iterate degree exceeds the budget")
-    hi = _orbit_iterate(belyi, which, n0, budget)
-    lo = _orbit_iterate(belyi, which, m0, budget)
-    return CriticalOrbitPoly(d, k, which, n0, "preperiodic", (n0, m0), hi - lo)
+    a = SparsePoly.variable(QQ, 2, _A)
+    c = SparsePoly.variable(QQ, 2, _C)
+    z = SparsePoly.constant(QQ, 2, Fraction(which))
+    for _ in range(n):
+        z = belyi.step(a, c, z, budget)
+    return CriticalOrbitPoly(d, k, which, n, z - which)
 
 
 @dataclass(frozen=True)
@@ -294,6 +264,8 @@ def transversality_check(
     Also asserts alpha * J(alpha, beta) = +-1 in every case, recording the
     observed sign (+1 and -1 coincide when p = 2).
     """
+    if e_max < 1:
+        raise DomainError(f"e_max must be >= 1, got {e_max}: no field would be checked")
     witness = find_idf_prime(d, k)
     if witness is None:
         raise UnsupportedParametersError(f"no IDF prime exists for ({d}, {k})")

@@ -237,24 +237,6 @@ class ShiftDecomposition:
     identity_ok: bool
 
 
-def _apply_f(coeff_by_exp: dict[int, Fraction], alpha, beta, poly: SparsePoly) -> SparsePoly:
-    """alpha * B(poly) + beta via Horner in the exponent-indexed form."""
-    ring = poly.ring
-    exps = sorted(coeff_by_exp, reverse=True)
-    top = exps[0]
-    low = exps[-1]
-    acc = SparsePoly.constant(ring, poly.nvars, ring.zero)
-    for exp in range(top, low - 1, -1):
-        acc = acc * poly
-        b = coeff_by_exp.get(exp)
-        if b is not None:
-            acc = acc + SparsePoly.constant(ring, poly.nvars, b)
-    acc = acc * poly**low
-    if acc.num_terms > _TERM_GUARD:
-        raise ResourceBudgetError("shift decomposition exceeded the term budget")
-    return acc * alpha + SparsePoly.constant(ring, poly.nvars, beta)
-
-
 def shift_remainder(
     d: int, k: int, n: int, alpha: Fraction = Fraction(1), beta: Fraction = Fraction(1)
 ) -> ShiftDecomposition:
@@ -274,7 +256,6 @@ def shift_remainder(
     alpha = Fraction(alpha)
     beta = Fraction(beta)
     B = belyi_coeffs(d, k)
-    by_exp = {d - i: b for i, b in enumerate(B.coeffs)}
 
     X = SparsePoly.variable(QQ, 2, _X)
     Y = SparsePoly.variable(QQ, 2, _Y)
@@ -293,17 +274,14 @@ def shift_remainder(
             if hpow[-1].num_terms > _TERM_GUARD:
                 raise ResourceBudgetError("shift decomposition exceeded the term budget")
         new_h = SparsePoly.constant(QQ, 2, Fraction(0))
-        for j in range(d - k, d + 1):
-            b = by_exp.get(j)
-            if b is None:
-                continue
+        for j, b in zip(range(d, -1, -1), B.coeffs):  # b is the coefficient of z^j
             inner = SparsePoly.constant(QQ, 2, Fraction(0))
             for i in range(1, j + 1):
                 inner = inner + comb(j, i) * (fpow[j - i] * hpow[i])
             new_h = new_h + b * inner
         h = new_h * alpha
-        fx = _apply_f(by_exp, alpha, beta, fx)
-        fxy = _apply_f(by_exp, alpha, beta, fxy)
+        fx = B.step(alpha, beta, fx, _TERM_GUARD)
+        fxy = B.step(alpha, beta, fxy, _TERM_GUARD)
 
     identity_ok = fxy == fx + h
     return ShiftDecomposition(d, k, n, alpha, beta, h, fx, identity_ok)

@@ -5,16 +5,14 @@ import pytest
 
 from bicrit.arith import val_p
 from bicrit.belyi import (
-    BicriticalMap,
     belyi_coeffs,
     canonical_k,
     conjugate_params,
     ncritical_form,
-    specialize,
 )
-from bicrit.errors import DomainError
+from bicrit.errors import DomainError, ResourceBudgetError
 from bicrit.idf import find_idf_prime
-from bicrit.polyring import GF, QQ, SparsePoly, UniPoly
+from bicrit.polyring import QQ, SparsePoly, UniPoly
 
 
 def derivative_identity_holds(b):
@@ -159,22 +157,21 @@ class TestNCriticalForm:
             ncritical_form(8, (1, 1, 1))  # symbolic only for three critical points
 
 
-class TestSpecialize:
-    def test_rational(self):
-        poly = specialize(BicriticalMap(belyi_coeffs(3, 1)), Fraction(1), Fraction(0))
-        assert poly == UniPoly(QQ, (0, 0, 3, -2))
+class TestStep:
+    def test_one_application(self):
+        b = belyi_coeffs(3, 1)
+        a = SparsePoly.variable(QQ, 2, 0)
+        c = SparsePoly.variable(QQ, 2, 1)
+        one = SparsePoly.constant(QQ, 2, Fraction(1))
+        assert b.step(a, c, one, 10) == a + c  # B(1) = 1
+        z = a + c
+        assert b.step(a, c, z, 100) == a * (-2 * z**3 + 3 * z**2) + c
+        # scalar parameters, as in the shift decomposition
+        assert b.step(Fraction(2), Fraction(-1), one, 10) == one
 
-    def test_mod3(self):
-        F3 = GF(3)
-        poly = specialize(belyi_coeffs(3, 1), F3.elem(1), F3.elem(0))
-        assert poly == UniPoly(F3, (0, 0, 0, 1))  # z^3
-
-    def test_degenerate_a(self):
-        poly = specialize(belyi_coeffs(3, 1), Fraction(0), Fraction(5))
-        assert poly == UniPoly(QQ, (5,))
-
-    def test_ncritical_specialize(self):
-        form = ncritical_form(4, (1, 1))
-        poly = specialize(form, Fraction(1), Fraction(0), gammas=(Fraction(2),))
-        # 6z^4 - 24z^3 + 24z^2 at gamma = 2
-        assert poly == UniPoly(QQ, (0, 0, 24, -24, 6))
+    def test_budget(self):
+        b = belyi_coeffs(3, 1)
+        a = SparsePoly.variable(QQ, 2, 0)
+        c = SparsePoly.variable(QQ, 2, 1)
+        with pytest.raises(ResourceBudgetError):
+            b.step(a, c, a + c, 3)

@@ -1,5 +1,10 @@
+import io
 import json
+import os
+import subprocess
+import sys
 
+import bicrit
 from bicrit.cli import main
 
 
@@ -54,11 +59,65 @@ class TestExitCodes:
             ["pcf", "integrality", "--d", "27", "--k", "3", "--n", "1", "--m", "1"]
         ) == 2
 
+    def test_malformed_valuation_is_usage_error(self, capsys):
+        assert main(
+            ["valdyn", "classify", "--d", "5", "--k", "1", "--r", "0", "--e", "1",
+             "--valpha", "abc", "--vbeta", "-1"]
+        ) == 2
+        assert "--valpha" in capsys.readouterr().err
+
+    def test_malformed_profile_is_usage_error(self, capsys):
+        assert main(["belyi", "ncrit", "--d", "4", "--profile", "1,x"]) == 2
+        assert "--profile" in capsys.readouterr().err
+
+    def test_zero_denominator_gamma_is_usage_error(self, capsys):
+        assert main(
+            ["belyi", "ncrit", "--d", "4", "--profile", "1,1", "--gamma", "1/0"]
+        ) == 2
+        assert "--gamma" in capsys.readouterr().err
+
+    def test_no_extension_degree_is_usage_error(self, capsys):
+        # --emax 0 checks no field at all, so it must not read as PASS
+        assert main(
+            ["pcf", "transversality", "--d", "3", "--k", "1", "--n", "2", "--m", "1",
+             "--emax", "0"]
+        ) == 2
+        assert capsys.readouterr().out == ""
+
     def test_csv_only_for_tables(self, capsys):
         assert main(
             ["pcf", "integrality", "--d", "3", "--k", "1", "--n", "1", "--m", "1",
              "--format", "csv"]
         ) == 2
+
+
+class _ClosedPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+class TestClosedStdout:
+    def test_closed_stdout_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+        assert main(["idf", "find", "--d", "27", "--k", "3"]) == 2
+        assert main(["idf", "mordell", "--xmax", "100", "--format", "csv"]) == 2
+        assert "stdout was closed" in capsys.readouterr().err
+
+    def test_reader_closes_pipe_early(self):
+        src = os.path.dirname(os.path.dirname(bicrit.__file__))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "bicrit.cli", "idf", "scan", "--k", "3",
+             "--dmax", "20000"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        proc.stdout.read(10)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 2
+        assert b"Traceback" not in err
 
 
 class TestReports:

@@ -1,0 +1,51 @@
+"""Byte-for-byte guard on the CLI reports.
+
+Every README command, plus one integrality FAIL, is pinned by its exit
+code and the sha256 of its stdout.  Only the ``elapsed_us`` timing is
+masked before hashing; every other byte of the report must stay the same.
+"""
+
+import hashlib
+import re
+
+import pytest
+
+from bicrit.cli import main
+
+GOLDEN = [
+    ("belyi coeffs --d 5 --k 2", 0,
+     "9b618f9f72c7f7d5249653605a27748725c29362d9314623556953166882e054"),
+    ("belyi ncrit --d 4 --profile 1,1 --gamma sym", 0,
+     "873dde2ad8cef70d91391ccdc40dbd103e9fcba5e335793a3156c79867cf4982"),
+    ("idf find --d 27 --k 3", 0,
+     "63033a85a007b4d8b39af6aef2d83c352bf90b3e0d178229d6e90024dff3c090"),
+    ("idf scan --k 3 --dmax 100000 --jobs 4 --format csv", 0,
+     "90d115ec72e0b1430cfbd490eed7aebfb4b44270ce831c0bae630b07d0bc08f7"),
+    ("idf mordell --xmax 1000 --format csv", 0,
+     "3c06aebabbeae8f4fcdc351de3925bb7ed1344126536acf6ff272b4750236f99"),
+    ("idf conjecture --n 51 --k 3", 0,
+     "70ed1b0e0ec75ca75304e13bd1459cf1692c57bc3fd71682e00d1dd5dd194c57"),
+    ("valdyn classify --d 5 --k 1 --r 0 --e 1 --valpha 2 --vbeta -1", 0,
+     "d480efef98db5d9f23cd5f391e082b4a6b545b87a25acdcc5a5b1f52de74d16b"),
+    ("valdyn orbit --d 5 --k 1 --r 0 --e 1 --valpha -1 --vbeta -1 --start 0 --steps 8", 0,
+     "3a0a1409fecb763d3fc9f730803cdc42fd61d88e6adc265504c5fa7b41dc1a91"),
+    ("pcf locus --d 3 --k 1 --n 2 --m 1", 0,
+     "db1cd429217898e5a6692ab98d4fcb42d55a79a2c79c3180bd882797353010b3"),
+    ("pcf integrality --d 3 --k 1 --n 2 --m 1", 0,
+     "9ba719dec4a021bfd6d19e4f32bce7e07280342351c6880557f41de44f6b6137"),
+    ("pcf transversality --d 3 --k 1 --n 2 --m 1 --emax 2", 0,
+     "09a9d4da567bfab1455a40d4b13a8ea69556947ec1857d789a2ecc768b8dc4f8"),
+    ("pcf counterexamples", 0,
+     "dad5a1a2f235cb32d8c3cc8bb7dd0cb62012c57a4fc1ba77d2f8b3fa31f97754"),
+    ("pcf integrality --d 9 --k 3 --n 1 --m 2", 1,
+     "7439ad3389e086edaaf5e34b622876f2a2b9b5a19d8fd4a680c570ba8ef7c7ce"),
+]
+
+
+@pytest.mark.parametrize("command, exit_code, digest", GOLDEN, ids=[g[0] for g in GOLDEN])
+def test_report_bytes(capsys, command, exit_code, digest):
+    code = main(command.split())
+    out = capsys.readouterr().out
+    masked = re.sub(r'"elapsed_us": "\d+"', '"elapsed_us": ""', out)
+    assert code == exit_code
+    assert hashlib.sha256(masked.encode()).hexdigest() == digest

@@ -7,7 +7,6 @@ from bicrit.pcf import (
     integrality_certificate,
     jacobian,
     ncrit_counterexamples,
-    preperiodic_poly,
     reduce_map,
     solve_mod,
     transversality_check,
@@ -40,19 +39,6 @@ class TestCriticalOrbitPoly:
             critical_orbit_poly(3, 1, 2, 1)
         with pytest.raises(DomainError):
             critical_orbit_poly(3, 1, 0, 0)
-
-
-class TestPreperiodicPoly:
-    def test_examples(self):
-        assert preperiodic_poly(3, 1, 0, 1, 0).poly == sp({(0, 1): 1})
-        assert preperiodic_poly(3, 1, 1, 1, 0).poly == sp(
-            {(1, 0): 1, (0, 1): 1, (0, 0): -1}
-        )
-        assert preperiodic_poly(3, 1, 0, 2, 1).poly == sp({(1, 3): -2, (1, 2): 3})
-
-    def test_order(self):
-        with pytest.raises(DomainError):
-            preperiodic_poly(3, 1, 0, 1, 1)
 
 
 CERT_CASES = [
