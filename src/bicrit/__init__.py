@@ -53,7 +53,6 @@ from .polyring import (
     bivariate_resultant,
     newton_polygon,
     resultant,
-    roots_in_field,
 )
 from .valdyn import (
     CaseTag,

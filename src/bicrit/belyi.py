@@ -20,6 +20,7 @@ comparison in the test suite).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -80,10 +81,27 @@ class BelyiPoly:
 
         ``a`` and ``c`` are polynomials or scalars of z's ring.
         """
-        z = a * self.eval_sparse(z) + c
-        if z.num_terms > budget:
+        # Refuse before multiplying when z^m alone, m the top power of B with a
+        # nonzero coefficient in z's ring, would exceed the budget.  Row i of
+        # P*Q (its terms with first exponent i) holds row j of P plus row i - j
+        # of Q, and |A + B| >= |A| + |B| - 1 for finite lattice sets, so
+        # ``power`` bounds the row sizes of z^m from below if nothing cancels.
+        # Over GF(p), where z^p has no more terms than z, it can overshoot, but
+        # never past the bound for the rational polynomial that z reduces.
+        m = self.d - next(i for i, b in enumerate(self.coeffs) if z.ring.coerce(b))
+        rows, power = Counter(e[0] for e in z.terms), Counter({0: 1})
+        for _ in range(m):
+            grown = Counter()
+            for (i, x), (j, y) in product(power.items(), rows.items()):
+                grown[i + j] = max(grown[i + j], x + y - 1)
+            power = grown
+        terms = sum(power.values())
+        if terms <= budget:
+            z = a * self.eval_sparse(z) + c
+            terms = z.num_terms
+        if terms > budget:
             raise ResourceBudgetError(
-                f"iterate of a*B(z) + c exceeded the {budget}-monomial budget"
+                f"iterate has at least {terms} terms, over the {budget}-monomial budget"
             )
         return z
 

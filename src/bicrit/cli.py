@@ -422,6 +422,10 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
+    # stdout through a buffered writer of its own: unbuffered (PYTHONUNBUFFERED),
+    # the text layer drops the rest of a write cut short by a reader that closed
+    # the pipe, and the run would exit 0 with the report truncated
+    sys.stdout = open(sys.stdout.fileno(), "w", closefd=False)
     code = main()
     try:
         sys.stdout.flush()

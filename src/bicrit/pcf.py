@@ -15,8 +15,8 @@ are stripped and logged first: a = 0 is not a degree-d map, and solutions
 with a = 0 mod p are excluded separately.
 
 Transversality is certified modulo an IDF prime p, where B collapses to
-the monomial s*z^(t*p): every common root (alpha, beta) of the reduced
-locus over GF(p^e) must make the Jacobian
+the monomial s*z^(t*p): every common root (alpha, beta) of the locus,
+built over GF(p^e) itself, must make the Jacobian
 
     J = F_a * G_c - G_a * F_c
 
@@ -73,13 +73,16 @@ class CriticalOrbitPoly:
     k: int
     which: int  # 0 or 1: which critical point
     n: int
-    poly: SparsePoly  # in (a, c) over QQ
+    poly: SparsePoly  # in (a, c), over the ring it was built in
 
 
 def critical_orbit_poly(
-    d: int, k: int, which: int, n: int, budget: int = DEFAULT_MONOMIAL_BUDGET
+    d: int, k: int, which: int, n: int, budget: int = DEFAULT_MONOMIAL_BUDGET, ring=QQ
 ) -> CriticalOrbitPoly:
-    """F_n (which = 0) or G_n = f^n(1) - 1 (which = 1) as an exact (a, c) polynomial."""
+    """F_n (which = 0) or G_n = f^n(1) - 1 (which = 1) as an exact (a, c) polynomial.
+
+    Over ``ring`` = GF(p^e) with p > k this is the rational one reduced mod p.
+    """
     if which not in (0, 1):
         raise DomainError("which must be 0 or 1")
     if n < 1:
@@ -89,9 +92,9 @@ def critical_orbit_poly(
         raise ResourceBudgetError(
             f"degree d^(n-1) = {d ** (n - 1)} exceeds the budget {budget}"
         )
-    a = SparsePoly.variable(QQ, 2, _A)
-    c = SparsePoly.variable(QQ, 2, _C)
-    z = SparsePoly.constant(QQ, 2, Fraction(which))
+    a = SparsePoly.variable(ring, 2, _A)
+    c = SparsePoly.variable(ring, 2, _C)
+    z = SparsePoly.constant(ring, 2, which)
     for _ in range(n):
         z = belyi.step(a, c, z, budget)
     return CriticalOrbitPoly(d, k, which, n, z - which)
@@ -212,32 +215,31 @@ def solve_mod(
 ) -> SolveModResult:
     """All common roots of the reduced locus over GF(p^e), with Jacobian values.
 
-    Roots with alpha = 0 are excluded (a = 0 mod p is not a degree-d map
-    and is ruled out for true solutions) but counted.
+    F_n, G_m and J are built over GF(p^e) itself.  Roots with alpha = 0 are
+    excluded (a = 0 mod p is not a degree-d map and is ruled out for true
+    solutions) but counted.
     """
     if not witness.holds_for(d, k):
         raise DomainError(f"{witness} is not an IDF witness for ({d}, {k})")
     p = witness.p
     if p ** (2 * e) > budget:
         raise ResourceBudgetError(f"GF({p}^{e})^2 enumeration exceeds the budget")
-    F = critical_orbit_poly(d, k, 0, n).poly
-    G = critical_orbit_poly(d, k, 1, m).poly
-    J = jacobian(F, G)
-    base = GF(p)
-    Fbar, Gbar, Jbar = (P.reduce_mod(base) for P in (F, G, J))
     field = GF(p, e)
+    Fbar = critical_orbit_poly(d, k, 0, n, ring=field).poly
+    Gbar = critical_orbit_poly(d, k, 1, m, ring=field).poly
+    Jbar = jacobian(Fbar, Gbar)
     sols = []
     excluded = 0
     for alpha in field.elements():
         for beta in field.elements():
-            if Fbar.evaluate((alpha, beta), ring=field):
+            if Fbar.evaluate((alpha, beta)):
                 continue
-            if Gbar.evaluate((alpha, beta), ring=field):
+            if Gbar.evaluate((alpha, beta)):
                 continue
             if not alpha:
                 excluded += 1
                 continue
-            jv = Jbar.evaluate((alpha, beta), ring=field)
+            jv = Jbar.evaluate((alpha, beta))
             sols.append(FiniteSolution(alpha, beta, jv))
     return SolveModResult(field, tuple(sols), excluded)
 

@@ -7,7 +7,7 @@ Provides
   residues modulo a fixed irreducible modulus: the lexicographically
   smallest monic irreducible of degree e, coefficients compared
   low-degree-first as integers in [0, p).  That makes every certificate
-  reproducible bit for bit.
+  reproducible bit for bit.  GF(p)[x] is the int-list ``_gfp_*`` helpers.
 * :class:`UniPoly`, dense univariate polynomials (lowest degree first).
 * :class:`SparsePoly`, sparse polynomials in a fixed number of variables,
   used with two variables for the (a, c) parameter plane and with three
@@ -41,7 +41,6 @@ __all__ = [
     "bivariate_resultant",
     "newton_polygon",
     "resultant",
-    "roots_in_field",
 ]
 
 
@@ -162,20 +161,6 @@ def _gfp_is_irreducible(f: list[int], p: int) -> bool:
     return True
 
 
-def _gfp_inverse(a, modulus, p):
-    # extended Euclid in GF(p)[x]; modulus irreducible, a nonzero mod modulus
-    r0, r1 = list(modulus), list(a)
-    s0, s1 = [], [1]
-    while r1:
-        q, r = _gfp_divmod(r0, r1, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, _gfp_sub(s0, _gfp_mul(q, s1, p), p)
-    if len(r0) != 1:
-        raise DomainError("element is not invertible")
-    inv_c = pow(r0[0], p - 2, p)
-    return [(c * inv_c) % p for c in s0]
-
-
 def _smallest_irreducible(p: int, e: int) -> tuple[int, ...]:
     for lower in product(range(p), repeat=e):
         cand = list(lower) + [1]
@@ -217,12 +202,8 @@ class GF:
         return FieldElem(self, coeffs + (0,) * (self.e - len(coeffs)))
 
     def coerce(self, x) -> "FieldElem":
-        if isinstance(x, FieldElem):
-            if x.field == self:
-                return x
-            if x.field.p == self.p and x.field.e == 1:
-                return self.elem(x.coeffs[0])
-            raise DomainError(f"cannot coerce element of {x.field} into {self}")
+        if isinstance(x, FieldElem) and x.field == self:
+            return x
         if isinstance(x, int):
             return self.elem(x)
         if isinstance(x, Fraction):
@@ -230,9 +211,7 @@ class GF:
                 raise DomainError(
                     f"denominator of {x} not invertible modulo {self.p}"
                 )
-            num = self.elem(x.numerator % self.p)
-            den = self.elem(x.denominator % self.p)
-            return num / den
+            return self.elem(x.numerator * pow(x.denominator, -1, self.p))
         raise DomainError(f"cannot coerce {x!r} into {self}")
 
     def elements(self):
@@ -313,26 +292,16 @@ class FieldElem:
     __rmul__ = __mul__
 
     def inverse(self) -> "FieldElem":
+        """x^(q-2), which is 1/x in the multiplicative group of order q - 1."""
         if not self:
             raise DomainError("cannot invert zero")
-        fld = self.field
-        if fld.e == 1:
-            return FieldElem(fld, (pow(self.coeffs[0], fld.p - 2, fld.p),))
-        inv = _gfp_inverse(_gfp_trim(list(self.coeffs)), list(fld.modulus), fld.p)
-        inv = inv + [0] * (fld.e - len(inv))
-        return FieldElem(fld, tuple(inv))
+        return self ** (self.field.order - 2)
 
     def __truediv__(self, other):
         o = self._binop(other)
         if o is None:
             return NotImplemented
         return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._binop(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
 
     def __pow__(self, n: int):
         if n < 0:
@@ -574,9 +543,6 @@ class UniPoly:
         inv = 1 / c
         return UniPoly(self.ring, tuple(x * inv for x in self.coeffs), _trusted=True)
 
-    def reduce_mod(self, field: GF) -> "UniPoly":
-        return UniPoly(field, [field.coerce(c) for c in self.coeffs])
-
     def render(self, var: str = "x") -> str:
         if self.is_zero:
             return "0"
@@ -789,15 +755,6 @@ def newton_polygon(f: UniPoly, p: int) -> NewtonPolygon:
     return NewtonPolygon(p, ord0, tuple(pts), tuple(segments))
 
 
-def roots_in_field(f: UniPoly) -> list[FieldElem]:
-    """All roots of f in its (finite) coefficient field, by exhaustion."""
-    if f.is_zero:
-        raise DomainError("root search on the zero polynomial")
-    if not isinstance(f.ring, GF):
-        raise DomainError("roots_in_field needs finite-field coefficients")
-    return [x for x in f.ring.elements() if not f.evaluate(x)]
-
-
 # ---------------------------------------------------------------------------
 # sparse multivariate polynomials
 # ---------------------------------------------------------------------------
@@ -989,9 +946,9 @@ class SparsePoly:
                 out[key] = d
         return SparsePoly(self.ring, self.nvars, out, _trusted=True)
 
-    def evaluate(self, values, ring=None):
-        """Full substitution; values (and coefficients) coerced into ``ring``."""
-        ring = ring or self.ring
+    def evaluate(self, values):
+        """Full substitution; values coerced into the coefficient ring."""
+        ring = self.ring
         vals = [ring.coerce(v) for v in values]
         if len(vals) != self.nvars:
             raise DomainError("wrong number of values")
@@ -1006,20 +963,12 @@ class SparsePoly:
                 row.append(row[-1] * v)
             powers.append(row)
         acc = ring.zero
-        for exps, c in self.terms.items():
-            t = ring.coerce(c)
+        for exps, t in self.terms.items():
             for i, e in enumerate(exps):
                 if e:
                     t = t * powers[i][e]
             acc = acc + t
         return acc
-
-    def reduce_mod(self, field: GF) -> "SparsePoly":
-        return SparsePoly(
-            field,
-            self.nvars,
-            {e: field.coerce(c) for e, c in self.terms.items()},
-        )
 
     def render(self, varnames) -> str:
         if not self.terms:

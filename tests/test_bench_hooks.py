@@ -1,0 +1,38 @@
+"""The benchmark's in-process tracer still finds every layer it wraps.
+
+``perfbench/spans.py`` rebinds named attributes of bicrit modules and
+classes; a rename inside ``src/`` would otherwise break ``--trace 1``
+only when the benchmark runs.
+"""
+
+import importlib.util
+import inspect
+import pathlib
+
+import bicrit.pcf
+
+SPANS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+def load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_layer_resolves():
+    spans = load_spans()
+    for name, owners, attr, _counter in spans.LAYERS:
+        for owner in owners:
+            if isinstance(owner, type):
+                fn = owner.__dict__.get(attr)
+            else:
+                fn = getattr(owner, attr, None)
+            assert callable(fn), f"{name}: {owner.__name__}.{attr} is gone"
+
+
+def test_solve_mod_arguments_where_the_counter_reads_them():
+    # the solve_mod counter reads the witness and e from args[4] and args[5]
+    params = list(inspect.signature(bicrit.pcf.solve_mod).parameters)
+    assert params[4:6] == ["witness", "e"]

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import bicrit
 from bicrit.cli import main
@@ -84,6 +85,14 @@ class TestExitCodes:
         ) == 2
         assert capsys.readouterr().out == ""
 
+    def test_orbit_budget_refuses_before_multiplying(self, capsys):
+        # F_6 would need ~1.7e8 term pairs before the old after-step check
+        start = time.perf_counter()
+        code = main(["pcf", "locus", "--d", "4", "--k", "1", "--n", "6", "--m", "1"])
+        assert code == 2
+        assert time.perf_counter() - start < 5
+        assert "has at least" in capsys.readouterr().err
+
     def test_csv_only_for_tables(self, capsys):
         assert main(
             ["pcf", "integrality", "--d", "3", "--k", "1", "--n", "1", "--m", "1",
@@ -118,6 +127,23 @@ class TestClosedStdout:
         proc.stderr.close()
         assert proc.wait(timeout=60) == 2
         assert b"Traceback" not in err
+
+    def test_reader_closes_unbuffered_csv_pipe_early(self):
+        # unbuffered, a short write of the one-piece CSV table must not pass
+        src = os.path.dirname(os.path.dirname(bicrit.__file__))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "bicrit.cli", "idf", "scan", "--k", "3",
+             "--dmax", "20000", "--format", "csv"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=src, PYTHONUNBUFFERED="1"),
+        )
+        proc.stdout.read(10)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 2
+        assert b"stdout was closed" in err
 
 
 class TestReports:

@@ -1,4 +1,8 @@
+import time
+
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from bicrit.errors import DomainError, ResourceBudgetError, UnsupportedParametersError
 from bicrit.idf import IdfWitness, find_idf_prime
@@ -11,7 +15,8 @@ from bicrit.pcf import (
     solve_mod,
     transversality_check,
 )
-from bicrit.polyring import GF, QQ, SparsePoly, UniPoly, roots_in_field
+from bicrit.polyring import GF, QQ, SparsePoly, UniPoly
+from util import dual_orbit_solutions, reduce_poly
 
 A, C = 0, 1
 
@@ -39,6 +44,29 @@ class TestCriticalOrbitPoly:
             critical_orbit_poly(3, 1, 2, 1)
         with pytest.raises(DomainError):
             critical_orbit_poly(3, 1, 0, 0)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        dk=st.sampled_from([(3, 1), (4, 1), (5, 1), (5, 2), (6, 2)]),
+        n=st.integers(1, 3),
+        m=st.integers(1, 3),
+        p=st.sampled_from([2, 3, 5, 7]),
+        e=st.integers(1, 2),
+    )
+    def test_field_build_is_reduction(self, dk, n, m, p, e):
+        # building over GF(p^e) equals reducing the rational build, p > k
+        d, k = dk
+        assume(p > k and d ** (max(n, m) - 1) <= 25)
+        field = GF(p, e)
+        F = critical_orbit_poly(d, k, 0, n)
+        G = critical_orbit_poly(d, k, 1, m)
+        Fbar = critical_orbit_poly(d, k, 0, n, ring=field)
+        Gbar = critical_orbit_poly(d, k, 1, m, ring=field)
+        assert Fbar.poly == reduce_poly(F.poly, field)
+        assert Gbar.poly == reduce_poly(G.poly, field)
+        assert jacobian(Fbar.poly, Gbar.poly) == reduce_poly(
+            jacobian(F.poly, G.poly), field
+        )
 
 
 CERT_CASES = [
@@ -132,11 +160,10 @@ class TestJacobian:
         assert not jacobian(F, F)
 
     def test_mod3_reduction(self):
-        F = critical_orbit_poly(3, 1, 0, 2).poly
-        G = critical_orbit_poly(3, 1, 1, 1).poly
-        J3 = jacobian(F, G).reduce_mod(GF(3))
         F3 = GF(3)
-        assert J3 == SparsePoly(F3, 2, {(0, 3): 1, (0, 0): -1})  # c^3 - 1
+        F = critical_orbit_poly(3, 1, 0, 2, ring=F3).poly
+        G = critical_orbit_poly(3, 1, 1, 1, ring=F3).poly
+        assert jacobian(F, G) == SparsePoly(F3, 2, {(0, 3): 1, (0, 0): -1})  # c^3 - 1
 
 
 class TestSolveMod:
@@ -162,7 +189,7 @@ class TestSolveMod:
         ext = solve_mod(3, 1, 1, 1, w, 2)
         F9 = GF(3, 2)
         lifted = {
-            (F9.coerce(s.alpha), F9.coerce(s.beta)) for s in base.solutions
+            (F9.elem(s.alpha.coeffs), F9.elem(s.beta.coeffs)) for s in base.solutions
         }
         got = {(s.alpha, s.beta) for s in ext.solutions}
         assert lifted <= got
@@ -205,10 +232,20 @@ class TestTransversality:
         with pytest.raises(UnsupportedParametersError):
             transversality_check(27, 3, 1, 1)
 
+    def test_deep_orbit_matches_pointwise_iteration(self):
+        # F_7 over QQ overflows the monomial budget; mod 3 it has 7 terms
+        start = time.perf_counter()
+        rep = transversality_check(3, 1, 7, 1, e_max=2)
+        assert time.perf_counter() - start < 5
+        assert rep.verdict == "PASS"
+        for res in rep.per_field:
+            got = [(s.alpha, s.beta, s.jacobian_value) for s in res.solutions]
+            assert got and got == dual_orbit_solutions(3, 1, 7, 1, res.field)
+
 
 class TestReductionStructure:
     def test_orbit_reduction_commutes_with_monomial_orbit(self):
-        # reducing f^n(0) mod p equals iterating the monomial a*s*z^(t*p) + c
+        # f^n(0) built over GF(p) equals iterating the monomial a*s*z^(t*p) + c
         for d, k in ((3, 1), (5, 1), (5, 2), (8, 2)):
             w = find_idf_prime(d, k)
             field = GF(w.p)
@@ -220,13 +257,13 @@ class TestReductionStructure:
                 for n in range(1, 4):
                     z = a * s * z ** (t * w.p) + c
                     # which = 1 already carries the -1 of G_n = f^n(1) - 1
-                    full = critical_orbit_poly(d, k, which, n).poly
+                    full = critical_orbit_poly(d, k, which, n, ring=field).poly
                     expected = (
                         z - SparsePoly.constant(field, 2, field.one)
                         if which == 1
                         else z
                     )
-                    assert full.reduce_mod(field) == expected
+                    assert full == expected
 
     def test_derivative_collapse(self):
         # d/da fbar^n(0) = s * (fbar^(n-1)(0))^(t p), d/dc fbar^n(0) = 1
@@ -236,9 +273,9 @@ class TestReductionStructure:
             s, t = reduce_map(d, k, w)
             one = SparsePoly.constant(field, 2, field.one)
             for n in range(1, 4):
-                fn = critical_orbit_poly(d, k, 0, n).poly.reduce_mod(field)
+                fn = critical_orbit_poly(d, k, 0, n, ring=field).poly
                 prev = (
-                    critical_orbit_poly(d, k, 0, n - 1).poly.reduce_mod(field)
+                    critical_orbit_poly(d, k, 0, n - 1, ring=field).poly
                     if n > 1
                     else SparsePoly.constant(field, 2, field.zero)
                 )
@@ -253,10 +290,11 @@ class TestReductionStructure:
         res = solve_mod(3, 1, 2, 1, w, 1)
         alphas = {s.alpha for s in res.solutions}
         betas = {s.beta for s in res.solutions}
-        for root in roots_in_field(cert.res_a.reduce_mod(field)):
-            assert root in alphas or root == field.zero
-        for root in roots_in_field(cert.res_c.reduce_mod(field)):
-            assert root in betas or root == field.zero
+        for res, coords in ((cert.res_a, alphas), (cert.res_c, betas)):
+            reduced = reduce_poly(res, field)
+            for x in field.elements():
+                if not reduced.evaluate(x):
+                    assert x in coords or x == field.zero
 
     def test_unit_ideal_consequence(self):
         # when both certificates pass, (F, G, J) has no common root with alpha != 0

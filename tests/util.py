@@ -4,7 +4,56 @@ from fractions import Fraction
 
 from bicrit.arith import ExtVal
 from bicrit.belyi import belyi_coeffs
+from bicrit.polyring import SparsePoly, UniPoly
 from bicrit.valdyn import CaseTag, ValParams, classify_case
+
+
+def reduce_coeff(x, field):
+    """A rational reduced into GF(p^e) with integer arithmetic alone."""
+    x = Fraction(x)
+    p = field.p
+    return field.elem(x.numerator * pow(x.denominator, -1, p) % p)
+
+
+def reduce_poly(P, field):
+    """A UniPoly or SparsePoly over QQ reduced coefficient by coefficient."""
+    if isinstance(P, UniPoly):
+        return UniPoly(field, [reduce_coeff(c, field) for c in P.coeffs])
+    return SparsePoly(
+        field, P.nvars, {e: reduce_coeff(c, field) for e, c in P.terms.items()}
+    )
+
+
+def dual_orbit_solutions(d, k, n, m, field):
+    """(alpha, beta, J) at every common root of F_n and G_m over ``field``
+    with alpha != 0, in the order of ``field.elements()``.
+
+    No polynomial in (a, c) is formed: f = alpha*B(z) + beta is iterated
+    on each point with dual numbers (z, dz/da, dz/dc), and
+    J = F_a * G_c - G_a * F_c is read off the derivatives.
+    """
+    dense = [field.zero] * (d + 1)
+    for i, b in enumerate(belyi_coeffs(d, k).coeffs):
+        dense[d - i] = reduce_coeff(b, field)
+
+    def orbit(alpha, beta, start, steps):
+        z, za, zc = field.elem(start), field.zero, field.zero
+        for _ in range(steps):
+            val = der = field.zero
+            for coeff in reversed(dense):  # Horner for B(z) and B'(z)
+                der = der * z + val
+                val = val * z + coeff
+            z, za, zc = alpha * val + beta, val + alpha * der * za, alpha * der * zc + 1
+        return z, za, zc
+
+    out = []
+    for alpha in field.elements():
+        for beta in field.elements():
+            F, F_a, F_c = orbit(alpha, beta, 0, n)
+            G, G_a, G_c = orbit(alpha, beta, 1, m)
+            if not F and G == field.one and alpha:
+                out.append((alpha, beta, F_a * G_c - G_a * F_c))
+    return out
 
 
 def prs_resultant(f, g):
