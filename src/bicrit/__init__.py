@@ -52,7 +52,6 @@ from .polyring import (
     UniPoly,
     bivariate_resultant,
     newton_polygon,
-    resultant,
 )
 from .valdyn import (
     CaseTag,

@@ -12,9 +12,9 @@ Provides
 * :class:`SparsePoly`, sparse polynomials in a fixed number of variables,
   used with two variables for the (a, c) parameter plane and with three
   for the (a, c, gamma) counterexample checks.
-* Resultants as Sylvester-matrix determinants computed by fraction-free
-  (Bareiss) elimination, so bivariate resultants never leave the
-  polynomial ring.
+* Bivariate resultants over QQ as Sylvester determinants: denominators
+  are cleared once, and fraction-free (Bareiss) elimination runs over
+  Z[x] on int coefficient lists, where every division is exact.
 * p-adic Newton polygons with a root-valuation readout: a hull segment of
   slope -s and horizontal length L certifies exactly L roots of valuation
   s; vanishing at 0 is reported as roots of valuation INFINITY.
@@ -40,7 +40,6 @@ __all__ = [
     "UniPoly",
     "bivariate_resultant",
     "newton_polygon",
-    "resultant",
 ]
 
 
@@ -479,37 +478,6 @@ class UniPoly:
             acc = acc * x + c
         return acc
 
-    def divmod(self, other: "UniPoly"):
-        other = self._coerce_other(other)
-        if other.is_zero:
-            raise DomainError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
-        if dq < 0:
-            return UniPoly.zero(self.ring), self
-        quo = [self.ring.zero] * (dq + 1)
-        ob = other.coeffs
-        while len(rem) >= len(ob):
-            c = rem[-1] / ob[-1]
-            shift = len(rem) - len(ob)
-            quo[shift] = c
-            for i, b in enumerate(ob):
-                rem[shift + i] = rem[shift + i] - c * b
-            while rem and not rem[-1]:
-                rem.pop()
-            if not rem:
-                break
-        return (
-            UniPoly(self.ring, quo),
-            UniPoly(self.ring, rem),
-        )
-
-    def exact_div(self, other: "UniPoly") -> "UniPoly":
-        q, r = self.divmod(other)
-        if not r.is_zero:
-            raise DomainError("inexact polynomial division")
-        return q
-
     def trailing_zeros(self) -> int:
         """Order of vanishing at 0 (0 for the zero polynomial)."""
         for i, c in enumerate(self.coeffs):
@@ -589,99 +557,144 @@ def _sylvester_rows(f_coeffs, g_coeffs, zero):
     return rows
 
 
-def _bareiss_det(mat, div, is_zero, zero):
-    """Determinant by fraction-free (Bareiss) elimination.
+def _zx_mul_sub(a, p, b, q):
+    """a*p - b*q in Z[x], on int lists (lowest degree first, trimmed)."""
+    out = [0] * max(len(a) + len(p), len(b) + len(q), 1)
+    for x, y, s in ((a, p, 1), (b, q, -1)):
+        if not y:
+            continue
+        for i, c in enumerate(x):
+            if c:
+                c *= s
+                for j, v in enumerate(y, i):
+                    out[j] += c * v
+    while out and not out[-1]:
+        out.pop()
+    return out
 
-    ``div`` must perform exact division in the entry domain; by the Bareiss
-    identity every division requested is exact.
+
+def _zx_exact_div(t, d):
+    """t / d in Z[x] for a nonzero d; DomainError unless the division is exact.
+
+    Long division from the top, overwriting t: each quotient coefficient is
+    an exact ``divmod`` by d's leading coefficient, and the remainder must
+    vanish.
+    """
+    if not t:
+        return t
+    lead = d[-1]
+    top = len(d) - 1
+    q = [0] * (len(t) - top)
+    if not q:
+        raise DomainError("inexact division in Z[x]")
+    for k in range(len(q) - 1, -1, -1):
+        c, rem = divmod(t[k + top], lead)
+        if rem:
+            raise DomainError("inexact division in Z[x]")
+        if c:
+            q[k] = c
+            for j, v in enumerate(d, k):
+                t[j] -= c * v
+    if any(t[:top]):
+        raise DomainError("inexact division in Z[x]")
+    return q
+
+
+def _bareiss_zx(mat):
+    """Determinant of a square matrix over Z[x] (int-list entries).
+
+    Fraction-free (Bareiss) elimination: after step r every entry below
+    and right of the pivot is a minor of the input, (M_ij * p_r - M_ir *
+    M_rj) / p_(r-1) with p_r the pivot of step r, and the division is exact.
+    A row whose entry in the pivot column is zero would only be multiplied
+    by p_r / p_(r-1); it is skipped instead and remembers the step ``s`` it
+    is exact as of.  Those factors telescope to p_t / p_s, so its next update
+    divides by p_s, and a row that becomes the pivot row is first brought up
+    to date by p_(r-1) / p_s.  The factors are nonzero, so the pivot search
+    can test a skipped row's entries as they stand.
     """
     n = len(mat)
-    if n == 0:
-        raise DomainError("empty matrix")
     sign = 1
-    prev = None
-    for r in range(n - 1):
-        if is_zero(mat[r][r]):
+    pivots = []
+    since = [-1] * n  # the step each row is exact as of; -1 for the input
+    for r in range(n):
+        if not mat[r][r]:
             for i in range(r + 1, n):
-                if not is_zero(mat[i][r]):
+                if mat[i][r]:
                     mat[r], mat[i] = mat[i], mat[r]
+                    since[r], since[i] = since[i], since[r]
                     sign = -sign
                     break
             else:
-                return zero
-        pivot = mat[r][r]
+                return []
+        top = mat[r]
+        s = since[r]
+        if s < r - 1:
+            for j in range(r, n):
+                t = _zx_mul_sub(top[j], pivots[r - 1], [], [])
+                top[j] = t if s < 0 else _zx_exact_div(t, pivots[s])
+        pivot = top[r]
+        pivots.append(pivot)
         for i in range(r + 1, n):
+            row = mat[i]
+            b = row[r]
+            if not b:
+                continue
+            s = since[i]
             for j in range(r + 1, n):
-                t = mat[i][j] * pivot - mat[i][r] * mat[r][j]
-                mat[i][j] = t if prev is None else div(t, prev)
-            mat[i][r] = zero
-        prev = pivot
-    det = mat[n - 1][n - 1]
-    return -det if sign < 0 else det
+                t = _zx_mul_sub(row[j], pivot, b, top[j])
+                row[j] = t if s < 0 else _zx_exact_div(t, pivots[s])
+            since[i] = r
+    det = pivots[-1]
+    return [-c for c in det] if sign < 0 else det
 
 
-def resultant(f: UniPoly, g: UniPoly):
-    """Res(f, g): the Sylvester determinant, f-rows above g-rows.
-
-    Vanishes iff f and g share a root in an algebraic closure or both
-    leading coefficients vanish (impossible here since stored leading
-    coefficients are nonzero).
-    """
-    if f.is_zero or g.is_zero:
-        raise DomainError("resultant of the zero polynomial")
-    if f.ring != g.ring:
-        raise DomainError("mixed coefficient domains")
-    ring = f.ring
-    if f.degree + g.degree == 0:
-        return ring.one
-    mat = _sylvester_rows(list(f.coeffs), list(g.coeffs), ring.zero)
-    return _bareiss_det(mat, lambda a, b: a / b, lambda x: not x, ring.zero)
+def _integer_rows(F: "SparsePoly", eliminate: int) -> tuple[int, list[list[int]]]:
+    """(lam, rows): lam clears F's denominators, and rows[i] is the
+    coefficient of x^i in lam*F (x the eliminated variable), an int list
+    in the kept variable."""
+    keep = 1 - eliminate
+    lam = lcm(*(c.denominator for c in F.terms.values()))
+    rows: list[list[int]] = [[] for _ in range(F.degree(eliminate) + 1)]
+    for exps, c in F.terms.items():
+        row = rows[exps[eliminate]]
+        e = exps[keep]
+        if len(row) <= e:
+            row.extend([0] * (e + 1 - len(row)))
+        row[e] = c.numerator * (lam // c.denominator)
+    return lam, rows
 
 
 def bivariate_resultant(F: "SparsePoly", G: "SparsePoly", eliminate: int) -> UniPoly:
-    """Resultant of two 2-variable polynomials with respect to one variable.
+    """Resultant over QQ of two 2-variable polynomials with respect to one
+    variable, as a UniPoly in the kept variable.
 
-    Entries of the Sylvester matrix are univariate polynomials in the kept
-    variable; the determinant is computed by fraction-free elimination, so
-    the result is an exact UniPoly in the kept variable.
+    The denominators are cleared first, by
+    Res_x(lam*F, mu*G) = lam^(deg_x G) * mu^(deg_x F) * Res_x(F, G), so the
+    Sylvester determinant is taken over Z[y] and divided by that scale once.
     """
     if F.nvars != 2 or G.nvars != 2:
         raise DomainError("bivariate resultant needs two-variable polynomials")
     if not F or not G:
         raise DomainError("resultant of the zero polynomial")
-    if F.ring != G.ring:
-        raise DomainError("mixed coefficient domains")
-    ring = F.ring
-    keep = 1 - eliminate
-    fc = _coeff_unipolys(F, eliminate, keep)
-    gc = _coeff_unipolys(G, eliminate, keep)
-    if len(fc) + len(gc) == 2:
-        return UniPoly(ring, (ring.one,), _trusted=True)
-    zero = UniPoly.zero(ring)
-    mat = _sylvester_rows(fc, gc, zero)
-    return _bareiss_det(
-        mat, lambda a, b: a.exact_div(b), lambda u: u.is_zero, zero
-    )
-
-
-def _coeff_unipolys(F: "SparsePoly", eliminate: int, keep: int) -> list[UniPoly]:
-    deg_e = F.degree(eliminate)
-    buckets: list[dict[int, object]] = [dict() for _ in range(deg_e + 1)]
-    for exps, c in F.terms.items():
-        buckets[exps[eliminate]][exps[keep]] = c
-    out = []
-    for bucket in buckets:
-        if bucket:
-            n = max(bucket) + 1
-            coeffs = [F.ring.zero] * n
-            for e, c in bucket.items():
-                coeffs[e] = c
-            out.append(UniPoly(F.ring, coeffs, _trusted=True))
-        else:
-            out.append(UniPoly.zero(F.ring))
-    while out and out[-1].is_zero:
-        out.pop()
-    return out
+    if F.ring is not QQ or G.ring is not QQ:
+        raise DomainError("bivariate resultant needs rational coefficients")
+    lam, fc = _integer_rows(F, eliminate)
+    mu, gc = _integer_rows(G, eliminate)
+    df, dg = len(fc) - 1, len(gc) - 1
+    if df + dg == 0:
+        return UniPoly(QQ, (QQ.one,), _trusted=True)
+    # Across the top rows the pivots are powers of their polynomial's leading
+    # coefficient in x, so the one whose leading coefficient has the lower
+    # degree goes on top; Res(G, F) = (-1)^(df*dg) Res(F, G)
+    if len(gc[-1]) < len(fc[-1]):
+        det = _bareiss_zx(_sylvester_rows(gc, fc, []))
+        if df * dg % 2:
+            det = [-c for c in det]
+    else:
+        det = _bareiss_zx(_sylvester_rows(fc, gc, []))
+    scale = lam**dg * mu**df
+    return UniPoly(QQ, [Fraction(c, scale) for c in det], _trusted=True)
 
 
 # ---------------------------------------------------------------------------

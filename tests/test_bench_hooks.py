@@ -8,8 +8,10 @@ only when the benchmark runs.
 import importlib.util
 import inspect
 import pathlib
+from collections import defaultdict
 
 import bicrit.pcf
+from bicrit.polyring import UniPoly
 
 SPANS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -36,3 +38,20 @@ def test_solve_mod_arguments_where_the_counter_reads_them():
     # the solve_mod counter reads the witness and e from args[4] and args[5]
     params = list(inspect.signature(bicrit.pcf.solve_mod).parameters)
     assert params[4:6] == ["witness", "e"]
+
+
+def test_resultant_has_what_the_counter_reads():
+    # _count_resultant reads the result's .degree and each coefficient's
+    # .numerator and .denominator
+    spans = load_spans()
+    F = bicrit.pcf.critical_orbit_poly(3, 1, 0, 2).poly
+    G = bicrit.pcf.critical_orbit_poly(3, 1, 1, 1).poly
+    R = bicrit.pcf.bivariate_resultant(F, G, eliminate=1)
+    assert isinstance(R, UniPoly)
+    assert R.degree == 4
+    assert all(isinstance(c.numerator, int) and c.denominator > 0 for c in R.coeffs)
+    counts = defaultdict(int)
+    spans._count_resultant(counts, (F, G), {"eliminate": 1}, R)
+    assert counts["polyring.sylvester_dim"] == F.degree(1) + G.degree(1)
+    assert counts["polyring.resultant_degree"] == 4
+    assert counts["polyring.resultant_coeff_bits"] > 0

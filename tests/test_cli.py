@@ -6,6 +6,7 @@ import sys
 import time
 
 import bicrit
+import bicrit.pcf
 from bicrit.cli import main
 
 
@@ -84,6 +85,29 @@ class TestExitCodes:
              "--emax", "0"]
         ) == 2
         assert capsys.readouterr().out == ""
+
+    def test_transversality_without_solutions_is_usage_error(self, capsys, monkeypatch):
+        def no_solutions(d, k, n, m, witness, e=1, budget=1_000_000):
+            return bicrit.pcf.SolveModResult(bicrit.GF(witness.p, e), (), 0)
+
+        monkeypatch.setattr(bicrit.pcf, "solve_mod", no_solutions)
+        assert main(
+            ["pcf", "transversality", "--d", "3", "--k", "1", "--n", "2", "--m", "1",
+             "--emax", "2"]
+        ) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "GF(3), GF(3^2)" in err
+
+    def test_integrality_refuses_predicted_elimination_work(self, capsys):
+        # passes the monomial budget, but the resultants would run for minutes
+        start = time.perf_counter()
+        code = main(["pcf", "integrality", "--d", "9", "--k", "3", "--n", "2", "--m", "3"])
+        assert code == 2
+        assert time.perf_counter() - start < 5
+        err = capsys.readouterr().err
+        assert "predicted elimination work 6.56e+08" in err
+        assert f"limit {bicrit.pcf.ELIMINATION_WORK_LIMIT:.0e}" in err
 
     def test_orbit_budget_refuses_before_multiplying(self, capsys):
         # F_6 would need ~1.7e8 term pairs before the old after-step check

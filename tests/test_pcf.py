@@ -4,9 +4,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import bicrit.pcf
 from bicrit.errors import DomainError, ResourceBudgetError, UnsupportedParametersError
 from bicrit.idf import IdfWitness, find_idf_prime
 from bicrit.pcf import (
+    SolveModResult,
     critical_orbit_poly,
     integrality_certificate,
     jacobian,
@@ -124,8 +126,22 @@ class TestIntegralityCertificate:
             integrality_certificate(27, 3, 1, 1)
 
     def test_budget(self):
+        # d^(n-1) * d^(m-1) against the monomial budget
         with pytest.raises(ResourceBudgetError):
-            integrality_certificate(3, 1, 3, 3)
+            integrality_certificate(3, 1, 3, 3, budget=80)
+        # (9, 3, 2, 3) passes that, but its resultants would run for minutes
+        start = time.perf_counter()
+        with pytest.raises(ResourceBudgetError, match="predicted elimination work"):
+            integrality_certificate(9, 3, 2, 3)
+        assert time.perf_counter() - start < 5
+
+    @pytest.mark.parametrize("case", [(3, 1, 3, 3), (4, 1, 3, 2)])
+    def test_answers_within_seconds(self, case):
+        # n + m = 6 was refused outright; (4, 1, 3, 2) took over 10 s
+        start = time.perf_counter()
+        cert = integrality_certificate(*case)
+        assert time.perf_counter() - start < 5
+        assert cert.verdict == "PASS"
 
 
 class TestReduceMap:
@@ -231,6 +247,15 @@ class TestTransversality:
     def test_unsupported(self):
         with pytest.raises(UnsupportedParametersError):
             transversality_check(27, 3, 1, 1)
+
+    def test_no_solution_is_not_a_pass(self, monkeypatch):
+        # with no finite solution in any field, no Jacobian was checked
+        def no_solutions(d, k, n, m, witness, e=1, budget=1_000_000):
+            return SolveModResult(GF(witness.p, e), (), 0)
+
+        monkeypatch.setattr(bicrit.pcf, "solve_mod", no_solutions)
+        with pytest.raises(DomainError, match=r"over GF\(2\), GF\(2\^2\)"):
+            transversality_check(4, 1, 1, 1, e_max=2)
 
     def test_deep_orbit_matches_pointwise_iteration(self):
         # F_7 over QQ overflows the monomial budget; mod 3 it has 7 terms

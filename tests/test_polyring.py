@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bicrit.arith import ExtVal, INFINITY, val_p
 from bicrit.errors import DomainError
@@ -10,15 +12,46 @@ from bicrit.polyring import (
     QQ,
     SparsePoly,
     UniPoly,
+    _bareiss_zx,
+    _zx_exact_div,
     bivariate_resultant,
     newton_polygon,
+)
+from util import (
+    exact_div,
+    fraction_bivariate_resultant,
+    poly_divmod,
+    prs_resultant,
+    reduce_poly,
     resultant,
 )
-from util import prs_resultant, reduce_poly
 
 
 def qpoly(*coeffs):
     return UniPoly(QQ, coeffs)
+
+
+def sp(terms):
+    return SparsePoly(QQ, 2, terms)
+
+
+def rationals(nonzero=False):
+    values = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+    return values.filter(bool) if nonzero else values
+
+
+@st.composite
+def two_var_polys(draw, max_x=3, max_y=3, max_terms=6):
+    """A nonzero 2-variable polynomial over QQ with small rational coefficients."""
+    terms = draw(
+        st.dictionaries(
+            st.tuples(st.integers(0, max_x), st.integers(0, max_y)),
+            rationals(nonzero=True),
+            min_size=1,
+            max_size=max_terms,
+        )
+    )
+    return sp(terms)
 
 
 class TestRingOps:
@@ -42,11 +75,11 @@ class TestRingOps:
     def test_divmod_exact(self):
         f = qpoly(-1, 0, 0, 0, 1)  # x^4 - 1
         g = qpoly(-1, 0, 1)  # x^2 - 1
-        q, r = f.divmod(g)
+        q, r = poly_divmod(f, g)
         assert r.is_zero and q == qpoly(1, 0, 1)
-        assert f.exact_div(g) == q
+        assert exact_div(f, g) == q
         with pytest.raises(DomainError):
-            qpoly(1, 1).exact_div(qpoly(0, 1))
+            exact_div(qpoly(1, 1), qpoly(0, 1))
 
     def test_evaluate(self):
         f = qpoly(1, -2, 3)
@@ -132,6 +165,77 @@ class TestBivariateResultant:
                 if fc.degree != F.degree(1) or gc.degree != G.degree(1):
                     continue  # leading coefficient vanished; convention differs
                 assert R.evaluate(a0) == resultant(fc, gc)
+
+    @settings(max_examples=150, deadline=None)
+    @given(F=two_var_polys(), G=two_var_polys(), eliminate=st.sampled_from((0, 1)))
+    def test_matches_fraction_oracle(self, F, G, eliminate):
+        # non-integer coefficients exercise the lam/mu rescaling
+        assert bivariate_resultant(F, G, eliminate) == fraction_bivariate_resultant(
+            F, G, eliminate
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        lead=rationals(nonzero=True),
+        mid=rationals(),
+        tail=two_var_polys(max_x=0),
+        scale=two_var_polys(max_x=0),
+    )
+    def test_zero_pivot_swaps_rows(self, lead, mid, tail, scale):
+        # F = lead*x^2 + mid*x + tail(y), G = scale(y) * (x + mid/lead),
+        # x the first variable: the second pivot,
+        # (scale*mid/lead) * lead - scale * mid, is zero
+        F = sp({(2, 0): lead, (1, 0): mid}) + tail
+        G = scale * sp({(1, 0): 1, (0, 0): mid / lead})
+        assert bivariate_resultant(F, G, 0) == fraction_bivariate_resultant(F, G, 0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        F=two_var_polys(max_x=4, max_terms=3),
+        G=two_var_polys(max_x=4, max_terms=3),
+        eliminate=st.sampled_from((0, 1)),
+    )
+    def test_sparse_inputs_match_fraction_oracle(self, F, G, eliminate):
+        # few terms leave zeros on the diagonal, so rows that elimination
+        # skipped are swapped into the pivot position
+        assert bivariate_resultant(F, G, eliminate) == fraction_bivariate_resultant(
+            F, G, eliminate
+        )
+
+    def test_row_swap_example(self):
+        # Res_x(x^2 + x + y, x + 1) = F(-1) = y, reached through a row swap
+        F = sp({(2, 0): 1, (1, 0): 1, (0, 1): 1})
+        G = sp({(1, 0): 1, (0, 0): 1})
+        assert bivariate_resultant(F, G, 0) == qpoly(0, 1)
+        mat = [[[1], [1], [0, 1]], [[1], [1], []], [[], [1], [1]]]
+        assert _bareiss_zx(mat) == [0, 1]
+
+    @settings(max_examples=60, deadline=None)
+    @given(F=two_var_polys(max_x=0), G=two_var_polys())
+    def test_constant_in_eliminated_variable(self, F, G):
+        # Res_x(F, G) = F^(deg_x G) when F does not involve x
+        R = bivariate_resultant(F, G, 0)
+        assert R == _specialize_a(F, Fraction(0)) ** G.degree(0)
+        assert R == fraction_bivariate_resultant(F, G, 0)
+
+    def test_inexact_division_raises(self):
+        # in Z[x], x + 1 is not a multiple of 2x, 2x + 3 leaves 2 over 2x + 1,
+        # a nonzero constant is no multiple of 2x + 1, and x / 2x = 1/2
+        with pytest.raises(DomainError):
+            _zx_exact_div([1, 1], [0, 2])
+        with pytest.raises(DomainError):
+            _zx_exact_div([3, 2], [1, 2])
+        with pytest.raises(DomainError):
+            _zx_exact_div([5], [1, 2])
+        with pytest.raises(DomainError):
+            _zx_exact_div([0, 1], [0, 2])
+        assert _zx_exact_div([-1, 0, 1], [1, 1]) == [-1, 1]
+
+    def test_rejects_other_rings(self):
+        F5 = GF(5)
+        F = SparsePoly(F5, 2, {(1, 0): 1})
+        with pytest.raises(DomainError):
+            bivariate_resultant(F, F, 0)
 
 
 def _specialize_a(P, a0):

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 from bicrit.arith import ExtVal
 from bicrit.belyi import belyi_coeffs
+from bicrit.errors import DomainError
 from bicrit.polyring import SparsePoly, UniPoly
 from bicrit.valdyn import CaseTag, ValParams, classify_case
 
@@ -56,6 +57,118 @@ def dual_orbit_solutions(d, k, n, m, field):
     return out
 
 
+def poly_divmod(f, g):
+    """(quotient, remainder) of UniPolys over a field, by long division."""
+    if g.is_zero:
+        raise DomainError("polynomial division by zero")
+    ring = f.ring
+    rem = list(f.coeffs)
+    dq = len(rem) - len(g.coeffs)
+    if dq < 0:
+        return UniPoly.zero(ring), f
+    quo = [ring.zero] * (dq + 1)
+    gb = g.coeffs
+    while len(rem) >= len(gb):
+        c = rem[-1] / gb[-1]
+        shift = len(rem) - len(gb)
+        quo[shift] = c
+        for i, b in enumerate(gb):
+            rem[shift + i] = rem[shift + i] - c * b
+        while rem and not rem[-1]:
+            rem.pop()
+        if not rem:
+            break
+    return UniPoly(ring, quo), UniPoly(ring, rem)
+
+
+def exact_div(f, g):
+    q, r = poly_divmod(f, g)
+    if not r.is_zero:
+        raise DomainError("inexact polynomial division")
+    return q
+
+
+def sylvester_rows(f_coeffs, g_coeffs, zero):
+    """Sylvester matrix with f-rows above g-rows (coefficients low-first)."""
+    m = len(f_coeffs) - 1
+    n = len(g_coeffs) - 1
+    rows = []
+    for shifts, coeffs in ((n, f_coeffs), (m, g_coeffs)):
+        for i in range(shifts):
+            row = [zero] * (m + n)
+            for j, c in enumerate(reversed(coeffs)):
+                row[i + j] = c
+            rows.append(row)
+    return rows
+
+
+def bareiss_det(mat, div, is_zero, zero):
+    """Determinant by fraction-free (Bareiss) elimination in any integral
+    domain; ``div`` performs the (always exact) division by the last pivot."""
+    n = len(mat)
+    sign = 1
+    prev = None
+    for r in range(n - 1):
+        if is_zero(mat[r][r]):
+            for i in range(r + 1, n):
+                if not is_zero(mat[i][r]):
+                    mat[r], mat[i] = mat[i], mat[r]
+                    sign = -sign
+                    break
+            else:
+                return zero
+        pivot = mat[r][r]
+        for i in range(r + 1, n):
+            for j in range(r + 1, n):
+                t = mat[i][j] * pivot - mat[i][r] * mat[r][j]
+                mat[i][j] = t if prev is None else div(t, prev)
+            mat[i][r] = zero
+        prev = pivot
+    det = mat[n - 1][n - 1]
+    return -det if sign < 0 else det
+
+
+def resultant(f, g):
+    """Res(f, g) of UniPolys over a field: the Sylvester determinant,
+    f-rows above g-rows, by Bareiss elimination on field elements."""
+    if f.is_zero or g.is_zero:
+        raise DomainError("resultant of the zero polynomial")
+    ring = f.ring
+    if f.degree + g.degree == 0:
+        return ring.one
+    mat = sylvester_rows(list(f.coeffs), list(g.coeffs), ring.zero)
+    return bareiss_det(mat, lambda a, b: a / b, lambda x: not x, ring.zero)
+
+
+def coeff_unipolys(F, eliminate):
+    """F as a list of UniPolys in the kept variable, indexed by the power
+    of the eliminated one."""
+    keep = 1 - eliminate
+    buckets = [dict() for _ in range(F.degree(eliminate) + 1)]
+    for exps, c in F.terms.items():
+        buckets[exps[eliminate]][exps[keep]] = c
+    out = []
+    for bucket in buckets:
+        coeffs = [F.ring.zero] * (max(bucket, default=-1) + 1)
+        for e, c in bucket.items():
+            coeffs[e] = c
+        out.append(UniPoly(F.ring, coeffs))
+    return out
+
+
+def fraction_bivariate_resultant(F, G, eliminate):
+    """Res of two 2-variable polynomials over a field: Bareiss over
+    UniPoly entries with rational (or field) coefficients, dividing by
+    the last pivot with polynomial long division."""
+    fc = coeff_unipolys(F, eliminate)
+    gc = coeff_unipolys(G, eliminate)
+    if len(fc) + len(gc) == 2:
+        return UniPoly(F.ring, (F.ring.one,))
+    zero = UniPoly.zero(F.ring)
+    mat = sylvester_rows(fc, gc, zero)
+    return bareiss_det(mat, exact_div, lambda u: u.is_zero, zero)
+
+
 def prs_resultant(f, g):
     """Resultant by the Euclidean remainder recursion (independent of the
     Sylvester/Bareiss route), pinned to the f-rows-above-g-rows sign."""
@@ -70,7 +183,7 @@ def prs_resultant(f, g):
         if da < db:
             swapped = rec(b, a)
             return swapped if (da * db) % 2 == 0 else -swapped
-        q, r = a.divmod(b)
+        q, r = poly_divmod(a, b)
         if r.is_zero:
             return ring.zero
         sign = ring.one if (da * db) % 2 == 0 else -ring.one
