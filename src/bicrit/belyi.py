@@ -3,11 +3,12 @@
 The bicritical family of degree d with ramification profile (d-k, k+1) is
 carried by the polynomial
 
-    B(z) = sum_{i=0}^{k} (-1)^(k-i) / ((k-i)! i!) * prod_{j != i} (d - j) * z^(d-i),
+    B(z) = sum_{i=0}^{k} (-1)^(k-i) * C(d, i) * C(d-i-1, k-i) * z^(d-i),
 
-which satisfies B(0) = 0, B(1) = 1 and B'(z) = d*b_0 * z^(d-k-1) (z-1)^k,
-so every member a*B(z) + c with a != 0 has affine critical points exactly
-{0, 1}.  Replacing k by d-1-k together with c -> 1-a-c gives a conjugate
+with integer coefficients (C the binomial coefficient).  It satisfies
+B(0) = 0, B(1) = 1 and B'(z) = d*b_0 * z^(d-k-1) (z-1)^k, so every member
+a*B(z) + c with a != 0 has affine critical points exactly {0, 1}.
+Replacing k by d-1-k together with c -> 1-a-c gives a conjugate
 map, so k can always be normalized into [1, ceil((d-2)/2)].
 
 For n marked critical points 0, 1, gamma_1, ..., gamma_{n-2} the analogous
@@ -27,7 +28,7 @@ from itertools import product
 from math import comb, factorial
 
 from .errors import DomainError, ResourceBudgetError
-from .polyring import QQ, SparsePoly, UniPoly
+from .polyring import SparsePoly, UniPoly
 
 __all__ = [
     "BelyiPoly",
@@ -52,13 +53,13 @@ class BelyiPoly:
 
     d: int
     k: int
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[int, ...]
 
     def polynomial(self) -> UniPoly:
-        dense = [Fraction(0)] * (self.d + 1)
+        dense = [0] * (self.d + 1)
         for i, b in enumerate(self.coeffs):
             dense[self.d - i] = b
-        return UniPoly(QQ, dense)
+        return UniPoly(dense)
 
     def evaluate(self, x: Fraction) -> Fraction:
         x = Fraction(x)
@@ -73,7 +74,7 @@ class BelyiPoly:
         ring = inner.ring
         acc = SparsePoly.constant(ring, inner.nvars, ring.zero)
         for b in self.coeffs:
-            acc = acc * inner + SparsePoly.constant(ring, inner.nvars, ring.coerce(b))
+            acc = acc * inner + SparsePoly.constant(ring, inner.nvars, b)
         return acc * inner ** (self.d - self.k)
 
     def step(self, a, c, z: SparsePoly, budget: int) -> SparsePoly:
@@ -107,17 +108,13 @@ class BelyiPoly:
 
 
 def belyi_coeffs(d: int, k: int) -> BelyiPoly:
-    """Exact coefficients of the degree-d normal form with parameter k."""
+    """Integer coefficients of the degree-d normal form with parameter k."""
     _check_dk(d, k)
-    out = []
-    for i in range(k + 1):
-        prod_term = 1
-        for j in range(k + 1):
-            if j != i:
-                prod_term *= d - j
-        sign = -1 if (k - i) % 2 else 1
-        out.append(Fraction(sign * prod_term, factorial(k - i) * factorial(i)))
-    return BelyiPoly(d, k, tuple(out))
+    return BelyiPoly(
+        d,
+        k,
+        tuple((-1) ** (k - i) * comb(d, i) * comb(d - i - 1, k - i) for i in range(k + 1)),
+    )
 
 
 def canonical_k(d: int, k: int) -> int:
@@ -162,27 +159,16 @@ class NCriticalForm:
             if e == z_exp:
                 return c
         if self.symbolic:
-            return UniPoly.zero(QQ)
+            return UniPoly()
         return Fraction(0)
 
     def polynomial(self) -> UniPoly:
         if self.symbolic:
             raise DomainError("symbolic form has no single-variable polynomial")
-        dense = [Fraction(0)] * (self.d + 1)
+        dense = [0] * (self.d + 1)
         for e, c in self.coeffs:
             dense[e] = c
-        return UniPoly(QQ, dense)
-
-    def z_gamma_poly(self) -> SparsePoly:
-        """The symbolic form as a sparse polynomial in (z, gamma)."""
-        if not self.symbolic:
-            raise DomainError("form is not symbolic in gamma")
-        terms = {}
-        for e, cpoly in self.coeffs:
-            for g_exp, c in enumerate(cpoly.coeffs):
-                if c:
-                    terms[(e, g_exp)] = c
-        return SparsePoly(QQ, 2, terms)
+        return UniPoly(dense)
 
 
 def ncritical_form(d: int, profile, gammas=None) -> NCriticalForm:
@@ -226,7 +212,7 @@ def ncritical_form(d: int, profile, gammas=None) -> NCriticalForm:
             seen.add(g)
 
     scale = Fraction(factorial(d), factorial(d - total - 1))
-    gamma_poly = UniPoly(QQ, (Fraction(0), Fraction(1)))  # the symbol itself
+    gamma_poly = UniPoly((0, 1))  # the symbol itself
 
     acc: dict[int, object] = {}
     for jvec in product(*(range(k + 1) for k in profile)):

@@ -373,9 +373,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _emit_csv(rows: list[dict]) -> str:
     buf = io.StringIO()
     if rows:
-        writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(rows)
+        writer = csv.writer(buf)
+        writer.writerow(rows[0].keys())
+        writer.writerows(row.values() for row in rows)
     return buf.getvalue()
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from math import isqrt
 
 from .arith import factor, is_prime
-from .errors import DomainError
+from .errors import DomainError, ResourceBudgetError
 
 __all__ = [
     "IdfRejection",
@@ -32,6 +32,7 @@ __all__ = [
     "MORDELL_B_SET",
     "MORDELL_C_SET",
     "MordellCandidate",
+    "SCAN_DMAX_LIMIT",
     "conjecture_check",
     "find_idf_prime",
     "is_idf_prime",
@@ -39,6 +40,12 @@ __all__ = [
     "scan_exceptions",
     "scan_witnesses",
 ]
+
+
+# scan_witnesses sieves every integer up to d_max, and a scan report holds
+# one row per degree: about 480 bytes a degree for CSV output (255 MB of
+# peak RSS at this limit) and about 900 for JSON
+SCAN_DMAX_LIMIT = 500_000
 
 
 def _check_dk(d: int, k: int) -> None:
@@ -181,12 +188,18 @@ def scan_witnesses(
     smallest-prime-factor sieve.  Degrees with k out of range
     (d < 2k + 1) are skipped.  The scan partitions the range over workers
     when jobs > 1 and merges in order, so output is independent of the
-    level of parallelism.
+    level of parallelism.  A d_max above ``SCAN_DMAX_LIMIT`` is refused
+    before anything is sieved.
     """
     if k < 1:
         raise DomainError("k must be >= 1")
     if d_max < d_min:
         return []
+    if d_max > SCAN_DMAX_LIMIT:
+        raise ResourceBudgetError(
+            f"a scan up to d = {d_max} sieves every integer up to it; "
+            f"the limit is {SCAN_DMAX_LIMIT}"
+        )
     if jobs <= 1 or d_max - d_min < 4 * jobs:
         raw = _scan_chunk((d_min, d_max, k))
     else:

@@ -3,15 +3,19 @@
 Provides
 
 * ``QQ`` and :class:`GF` coefficient rings with a uniform ``coerce`` /
-  ``zero`` / ``one`` protocol.  Extension fields GF(p^e) are represented as
+  ``zero`` / ``one`` protocol; ``GF.coerce`` takes ints and elements of
+  its own field only.  Extension fields GF(p^e) are represented as
   residues modulo a fixed irreducible modulus: the lexicographically
   smallest monic irreducible of degree e, coefficients compared
   low-degree-first as integers in [0, p).  That makes every certificate
-  reproducible bit for bit.  GF(p)[x] is the int-list ``_gfp_*`` helpers.
-* :class:`UniPoly`, dense univariate polynomials (lowest degree first).
-* :class:`SparsePoly`, sparse polynomials in a fixed number of variables,
-  used with two variables for the (a, c) parameter plane and with three
-  for the (a, c, gamma) counterexample checks.
+  reproducible bit for bit.  A :class:`FieldElem` computes with elements
+  of its own field only.  GF(p)[x] is the int-list ``_gfp_*`` helpers.
+* :class:`UniPoly`, dense univariate polynomials over QQ (lowest degree
+  first): resultants, their content and their Newton polygons.
+* :class:`SparsePoly`, sparse polynomials in a fixed number of variables
+  over QQ or GF(p^e), the one type with a choice of ring, used with two
+  variables for the (a, c) parameter plane and with three for the
+  (a, c, gamma) counterexample checks.
 * Bivariate resultants over QQ as Sylvester determinants: denominators
   are cleared once, and fraction-free (Bareiss) elimination runs over
   Z[x] on int coefficient lists, where every division is exact.
@@ -205,12 +209,6 @@ class GF:
             return x
         if isinstance(x, int):
             return self.elem(x)
-        if isinstance(x, Fraction):
-            if x.denominator % self.p == 0:
-                raise DomainError(
-                    f"denominator of {x} not invertible modulo {self.p}"
-                )
-            return self.elem(x.numerator * pow(x.denominator, -1, self.p))
         raise DomainError(f"cannot coerce {x!r} into {self}")
 
     def elements(self):
@@ -229,7 +227,11 @@ class GF:
 
 
 class FieldElem:
-    """An element of GF(p^e), stored as a reduced coefficient tuple."""
+    """An element of GF(p^e), stored as a reduced coefficient tuple.
+
+    Arithmetic and equality take elements of the same field only; an int, a
+    Fraction or an element of another field is never lifted (TypeError).
+    """
 
     __slots__ = ("field", "coeffs")
 
@@ -240,55 +242,41 @@ class FieldElem:
     def __bool__(self):
         return any(self.coeffs)
 
-    def _binop(self, other):
-        try:
-            return self.field.coerce(other)
-        except DomainError:
-            return None
+    def _same_field(self, other) -> bool:
+        return isinstance(other, FieldElem) and (
+            other.field is self.field or other.field == self.field
+        )
 
     def __add__(self, other):
-        o = self._binop(other)
-        if o is None:
+        if not self._same_field(other):
             return NotImplemented
         p = self.field.p
         return FieldElem(
-            self.field, tuple((a + b) % p for a, b in zip(self.coeffs, o.coeffs))
+            self.field, tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs))
         )
-
-    __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._binop(other)
-        if o is None:
+        if not self._same_field(other):
             return NotImplemented
         p = self.field.p
         return FieldElem(
-            self.field, tuple((a - b) % p for a, b in zip(self.coeffs, o.coeffs))
+            self.field, tuple((a - b) % p for a, b in zip(self.coeffs, other.coeffs))
         )
-
-    def __rsub__(self, other):
-        o = self._binop(other)
-        if o is None:
-            return NotImplemented
-        return o - self
 
     def __neg__(self):
         p = self.field.p
         return FieldElem(self.field, tuple((-a) % p for a in self.coeffs))
 
     def __mul__(self, other):
-        o = self._binop(other)
-        if o is None:
+        if not self._same_field(other):
             return NotImplemented
         fld = self.field
         if fld.e == 1:
-            return FieldElem(fld, ((self.coeffs[0] * o.coeffs[0]) % fld.p,))
-        prod = _gfp_mul(list(self.coeffs), list(o.coeffs), fld.p)
+            return FieldElem(fld, ((self.coeffs[0] * other.coeffs[0]) % fld.p,))
+        prod = _gfp_mul(list(self.coeffs), list(other.coeffs), fld.p)
         _, rem = _gfp_divmod(prod, list(fld.modulus), fld.p)
         rem = rem + [0] * (fld.e - len(rem))
         return FieldElem(fld, tuple(rem))
-
-    __rmul__ = __mul__
 
     def inverse(self) -> "FieldElem":
         """x^(q-2), which is 1/x in the multiplicative group of order q - 1."""
@@ -297,10 +285,9 @@ class FieldElem:
         return self ** (self.field.order - 2)
 
     def __truediv__(self, other):
-        o = self._binop(other)
-        if o is None:
+        if not self._same_field(other):
             return NotImplemented
-        return self * o.inverse()
+        return self * other.inverse()
 
     def __pow__(self, n: int):
         if n < 0:
@@ -316,10 +303,9 @@ class FieldElem:
         return result
 
     def __eq__(self, other):
-        o = self._binop(other)
-        if o is None:
-            return NotImplemented
-        return self.coeffs == o.coeffs
+        if not self._same_field(other):
+            raise TypeError(f"cannot compare an element of {self.field} with {other!r}")
+        return self.coeffs == other.coeffs
 
     def __hash__(self):
         return hash((self.field, self.coeffs))
@@ -336,31 +322,15 @@ class FieldElem:
 
 
 class UniPoly:
-    """Dense univariate polynomial; coefficients lowest degree first."""
+    """Dense univariate polynomial over QQ; coefficients lowest degree first."""
 
-    __slots__ = ("ring", "coeffs")
+    __slots__ = ("coeffs",)
 
-    def __init__(self, ring, coeffs=(), *, _trusted=False):
-        self.ring = ring
-        if _trusted:
-            self.coeffs = tuple(coeffs)
-            return
-        cs = [ring.coerce(c) for c in coeffs]
+    def __init__(self, coeffs=()):
+        cs = [QQ.coerce(c) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
         self.coeffs = tuple(cs)
-
-    @classmethod
-    def zero(cls, ring):
-        return cls(ring, (), _trusted=True)
-
-    @classmethod
-    def constant(cls, ring, value):
-        return cls(ring, (value,))
-
-    @classmethod
-    def variable(cls, ring):
-        return cls(ring, (ring.zero, ring.one), _trusted=True)
 
     @property
     def degree(self) -> int:
@@ -373,69 +343,45 @@ class UniPoly:
     def __bool__(self):
         return bool(self.coeffs)
 
-    @property
-    def lead(self):
-        if self.is_zero:
-            raise DomainError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    def _coerce_other(self, other):
-        if isinstance(other, UniPoly):
-            if other.ring != self.ring and other.ring is not self.ring:
-                raise DomainError("mixed coefficient domains")
-            return other
-        return UniPoly(self.ring, (other,))
-
     def __add__(self, other):
-        other = self._coerce_other(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        z = self.ring.zero
-        out = [z] * n
-        for i, c in enumerate(self.coeffs):
-            out[i] = c
+        if not isinstance(other, UniPoly):
+            other = UniPoly((other,))
+        out = list(self.coeffs) + [QQ.zero] * (len(other.coeffs) - len(self.coeffs))
         for i, c in enumerate(other.coeffs):
-            out[i] = out[i] + c
-        while out and not out[-1]:
-            out.pop()
-        return UniPoly(self.ring, out, _trusted=True)
+            out[i] += c
+        return UniPoly(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return UniPoly(self.ring, tuple(-c for c in self.coeffs), _trusted=True)
+        return UniPoly(-c for c in self.coeffs)
 
     def __sub__(self, other):
-        return self + (-self._coerce_other(other))
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if not isinstance(other, UniPoly):
-            c = self.ring.coerce(other)
-            if not c:
-                return UniPoly.zero(self.ring)
-            return UniPoly(self.ring, tuple(c * x for x in self.coeffs), _trusted=True)
-        other = self._coerce_other(other)
+            c = QQ.coerce(other)
+            return UniPoly(c * x for x in self.coeffs)
         if self.is_zero or other.is_zero:
-            return UniPoly.zero(self.ring)
-        z = self.ring.zero
-        out = [z] * (len(self.coeffs) + len(other.coeffs) - 1)
+            return UniPoly()
+        out = [QQ.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
                 for j, b in enumerate(other.coeffs):
                     if b:
-                        out[i + j] = out[i + j] + a * b
-        while out and not out[-1]:
-            out.pop()
-        return UniPoly(self.ring, out, _trusted=True)
+                        out[i + j] += a * b
+        return UniPoly(out)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if n < 0:
             raise DomainError("negative polynomial power")
-        result = UniPoly(self.ring, (self.ring.one,), _trusted=True)
+        result = UniPoly((1,))
         base = self
         while n:
             if n & 1:
@@ -448,32 +394,17 @@ class UniPoly:
     def __eq__(self, other):
         if not isinstance(other, UniPoly):
             return NotImplemented
-        return self.ring == other.ring and self.coeffs == other.coeffs
+        return self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash((self.ring, self.coeffs))
-
-    def compose(self, inner: "UniPoly") -> "UniPoly":
-        """self(inner(x)), by Horner evaluation in the polynomial ring."""
-        inner = self._coerce_other(inner)
-        result = UniPoly.zero(self.ring)
-        for c in reversed(self.coeffs):
-            result = result * inner + UniPoly(self.ring, (c,))
-        return result
+        return hash(self.coeffs)
 
     def derivative(self) -> "UniPoly":
-        if self.degree < 1:
-            return UniPoly.zero(self.ring)
-        out = []
-        for i, c in enumerate(self.coeffs[1:], start=1):
-            out.append(c * self.ring.coerce(i))
-        while out and not out[-1]:
-            out.pop()
-        return UniPoly(self.ring, out, _trusted=True)
+        return UniPoly(i * c for i, c in enumerate(self.coeffs[1:], start=1))
 
     def evaluate(self, x):
-        x = self.ring.coerce(x)
-        acc = self.ring.zero
+        x = QQ.coerce(x)
+        acc = QQ.zero
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
@@ -489,14 +420,10 @@ class UniPoly:
         """Divide by x^j (requires vanishing to order >= j at 0)."""
         if any(self.coeffs[:j]):
             raise DomainError("polynomial does not vanish to that order")
-        return UniPoly(self.ring, self.coeffs[j:], _trusted=True)
+        return UniPoly(self.coeffs[j:])
 
     def content(self) -> Fraction:
-        """Positive rational content (QQ coefficients only)."""
-        if self.ring is not QQ:
-            raise DomainError("content is defined over QQ")
-        if self.is_zero:
-            return Fraction(0)
+        """Positive rational content (0 for the zero polynomial)."""
         num = 0
         den = 1
         for c in self.coeffs:
@@ -506,10 +433,7 @@ class UniPoly:
 
     def primitive_part(self) -> "UniPoly":
         c = self.content()
-        if not c:
-            return self
-        inv = 1 / c
-        return UniPoly(self.ring, tuple(x * inv for x in self.coeffs), _trusted=True)
+        return self * (1 / c) if c else self
 
     def render(self, var: str = "x") -> str:
         if self.is_zero:
@@ -683,7 +607,7 @@ def bivariate_resultant(F: "SparsePoly", G: "SparsePoly", eliminate: int) -> Uni
     mu, gc = _integer_rows(G, eliminate)
     df, dg = len(fc) - 1, len(gc) - 1
     if df + dg == 0:
-        return UniPoly(QQ, (QQ.one,), _trusted=True)
+        return UniPoly((1,))
     # Across the top rows the pivots are powers of their polynomial's leading
     # coefficient in x, so the one whose leading coefficient has the lower
     # degree goes on top; Res(G, F) = (-1)^(df*dg) Res(F, G)
@@ -694,7 +618,7 @@ def bivariate_resultant(F: "SparsePoly", G: "SparsePoly", eliminate: int) -> Uni
     else:
         det = _bareiss_zx(_sylvester_rows(fc, gc, []))
     scale = lam**dg * mu**df
-    return UniPoly(QQ, [Fraction(c, scale) for c in det], _trusted=True)
+    return UniPoly(Fraction(c, scale) for c in det)
 
 
 # ---------------------------------------------------------------------------
@@ -752,11 +676,9 @@ def _lower_hull(points):
 
 
 def newton_polygon(f: UniPoly, p: int) -> NewtonPolygon:
-    """Newton polygon of f at p; f must be a nonzero polynomial over QQ."""
+    """Newton polygon of f at p; f must be nonzero."""
     if f.is_zero:
         raise DomainError("Newton polygon of the zero polynomial")
-    if f.ring is not QQ:
-        raise DomainError("Newton polygon needs rational coefficients")
     pts = [
         (i, val_p(c, p).finite) for i, c in enumerate(f.coeffs) if c
     ]
@@ -824,9 +746,6 @@ class SparsePoly:
         if var is None:
             return max(sum(e) for e in self.terms)
         return max(e[var] for e in self.terms)
-
-    def coefficient(self, exps) -> object:
-        return self.terms.get(tuple(exps), self.ring.zero)
 
     def _check(self, other: "SparsePoly"):
         if self.ring != other.ring or self.nvars != other.nvars:
@@ -965,21 +884,13 @@ class SparsePoly:
         vals = [ring.coerce(v) for v in values]
         if len(vals) != self.nvars:
             raise DomainError("wrong number of values")
-        maxe = [0] * self.nvars
-        for exps in self.terms:
-            for i, e in enumerate(exps):
-                maxe[i] = max(maxe[i], e)
-        powers = []
-        for i, v in enumerate(vals):
-            row = [ring.one]
-            for _ in range(maxe[i]):
-                row.append(row[-1] * v)
-            powers.append(row)
+        # each value is raised only to the exponents that occur: the loci
+        # built over GF(p^e) have a few terms of very high degree
         acc = ring.zero
         for exps, t in self.terms.items():
-            for i, e in enumerate(exps):
+            for v, e in zip(vals, exps):
                 if e:
-                    t = t * powers[i][e]
+                    t = t * v**e
             acc = acc + t
         return acc
 

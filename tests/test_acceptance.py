@@ -19,7 +19,7 @@ from bicrit.pcf import (
     ncrit_counterexamples,
     transversality_check,
 )
-from bicrit.polyring import QQ, UniPoly
+from bicrit.polyring import UniPoly
 from bicrit.valdyn import (
     CaseTag,
     ValParams,
@@ -50,8 +50,8 @@ def criterion(num, desc):
 
 def test_01_belyi_invariants():
     with criterion(1, "normal-form identities for d in [3,40], all canonical k"):
-        z = UniPoly(QQ, (0, 1))
-        one = UniPoly(QQ, (1,))
+        z = UniPoly((0, 1))
+        one = UniPoly((1,))
         pairs = 0
         for d in range(3, 41):
             for k in range(1, (d - 1) // 2 + 1):
@@ -220,10 +220,10 @@ def test_08_ncritical_counterexamples():
         from bicrit.belyi import ncritical_form
 
         form = ncritical_form(4, (1, 1))
-        gamma = UniPoly(QQ, (0, 1))
+        gamma = UniPoly((0, 1))
         assert dict(form.coeffs) == {
-            4: UniPoly(QQ, (6,)),
-            3: UniPoly(QQ, (-8,)) - 8 * gamma,
+            4: UniPoly((6,)),
+            3: UniPoly((-8,)) - 8 * gamma,
             2: 12 * gamma,
         }
 

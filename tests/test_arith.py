@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bicrit.arith
 from bicrit.arith import ExtVal, INFINITY, factor, is_prime, val_p
-from bicrit.errors import DomainError
+from bicrit.errors import DomainError, ResourceBudgetError
 
 SMALL_PRIMES = [p for p in range(2, 101) if is_prime(p)]
 
@@ -47,6 +48,25 @@ class TestFactor:
     def test_large_semiprime(self):
         n = 1_000_003 * 1_000_033  # both prime, beyond the trial bound
         assert factor(n).factors == ((1_000_003, 1), (1_000_033, 1))
+
+    def test_rho_budget_names_the_cofactor(self, monkeypatch):
+        # two ~60-bit primes: rho would need about 2^30 steps
+        p, q = 576460752303435851, 1152921504606945751
+        monkeypatch.setattr(bicrit.arith, "RHO_STEP_LIMIT", 2**16)
+        with pytest.raises(ResourceBudgetError, match=f"the cofactor {p * q} "):
+            factor(12 * p * q)
+
+    def test_rho_budget_is_shared_by_the_cofactors(self, monkeypatch):
+        # splitting off one of these 32-bit primes takes 2^16 - 2 counted
+        # steps: one split fits the budget, the three splits of a product
+        # of four do not
+        primes = [4294967311, 4294967357, 4294967371, 4294967377]
+        assert all(is_prime(p) for p in primes)
+        monkeypatch.setattr(bicrit.arith, "RHO_STEP_LIMIT", 2**17)
+        assert factor(primes[0] * primes[1]).primes() == tuple(primes[:2])
+        n = primes[0] * primes[1] * primes[2] * primes[3]
+        with pytest.raises(ResourceBudgetError):
+            factor(n)
 
 
 class TestIsPrime:

@@ -13,20 +13,28 @@ from bicrit.belyi import (
 from bicrit.errors import DomainError, ResourceBudgetError
 from bicrit.idf import find_idf_prime
 from bicrit.polyring import QQ, SparsePoly, UniPoly
+from util import factorial_belyi_coeffs
 
 
 def derivative_identity_holds(b):
-    z = UniPoly(QQ, (0, 1))
+    z = UniPoly((0, 1))
     lhs = b.polynomial().derivative()
-    rhs = (b.d * b.coeffs[0]) * z ** (b.d - b.k - 1) * (z - UniPoly(QQ, (1,))) ** b.k
+    rhs = (b.d * b.coeffs[0]) * z ** (b.d - b.k - 1) * (z - 1) ** b.k
     return lhs == rhs
 
 
 class TestBelyiCoeffs:
     def test_examples(self):
-        assert belyi_coeffs(3, 1).coeffs == (Fraction(-2), Fraction(3))
-        assert belyi_coeffs(4, 2).coeffs == (Fraction(3), Fraction(-8), Fraction(6))
-        assert belyi_coeffs(5, 2).coeffs == (Fraction(6), Fraction(-15), Fraction(10))
+        assert belyi_coeffs(3, 1).coeffs == (-2, 3)
+        assert belyi_coeffs(4, 2).coeffs == (3, -8, 6)
+        assert belyi_coeffs(5, 2).coeffs == (6, -15, 10)
+
+    def test_binomial_form_matches_factorial_formula(self):
+        for d in range(3, 61):
+            for k in range(1, d - 1):
+                coeffs = belyi_coeffs(d, k).coeffs
+                assert all(type(b) is int for b in coeffs)
+                assert coeffs == factorial_belyi_coeffs(d, k)
 
     def test_range_errors(self):
         with pytest.raises(DomainError):
@@ -46,11 +54,13 @@ class TestBelyiCoeffs:
                 assert derivative_identity_holds(b)
 
     def test_denominator_structure(self):
+        # b_i * (k-i)! i! is +-prod_{j != i, j <= k} (d - j): the factorial
+        # quotients are integers
         for d in range(3, 20):
             for k in range(1, d - 1):
-                b = belyi_coeffs(d, k)
-                for i, c in enumerate(b.coeffs):
-                    assert (factorial(k - i) * factorial(i)) % c.denominator == 0
+                for i, b in enumerate(belyi_coeffs(d, k).coeffs):
+                    prod = factorial(d) // factorial(d - k - 1) // (d - i)
+                    assert b * factorial(k - i) * factorial(i) == (-1) ** (k - i) * prod
 
     def test_idf_coefficient_valuations(self):
         # v_p(b_i) = e away from the witness index, 0 at it
@@ -99,10 +109,10 @@ class TestConjugateParams:
 class TestNCriticalForm:
     def test_quartic_example(self):
         form = ncritical_form(4, (1, 1))
-        gamma = UniPoly(QQ, (0, 1))
+        gamma = UniPoly((0, 1))
         assert form.symbolic
-        assert form.coeff(4) == UniPoly(QQ, (6,))
-        assert form.coeff(3) == UniPoly(QQ, (-8,)) - 8 * gamma
+        assert form.coeff(4) == UniPoly((6,))
+        assert form.coeff(3) == UniPoly((-8,)) - 8 * gamma
         assert form.coeff(2) == 12 * gamma
 
     def test_degree10_profile_7_1(self):
@@ -130,17 +140,21 @@ class TestNCriticalForm:
         ]:
             form = ncritical_form(d, profile, gammas)
             total = sum(profile)
-            z = UniPoly(QQ, (0, 1))
-            rhs = UniPoly(QQ, (Fraction(factorial(d), factorial(d - total - 1)),))
-            rhs = rhs * z ** (d - total - 1) * (z - UniPoly(QQ, (1,))) ** profile[0]
+            z = UniPoly((0, 1))
+            rhs = UniPoly((Fraction(factorial(d), factorial(d - total - 1)),))
+            rhs = rhs * z ** (d - total - 1) * (z - 1) ** profile[0]
             for g, k_i in zip(gammas, profile[1:]):
-                rhs = rhs * (z - UniPoly(QQ, (g,))) ** k_i
+                rhs = rhs * (z - g) ** k_i
             assert form.polynomial().derivative() == rhs
 
     def test_symbolic_derivative_factorization(self):
         # d/dz g(z, gamma) = 24 z (z - 1)(z - gamma) for the quartic family
         form = ncritical_form(4, (1, 1))
-        P = form.z_gamma_poly()  # vars (z, gamma)
+        P = SparsePoly(  # vars (z, gamma)
+            QQ,
+            2,
+            {(e, j): c for e, cpoly in form.coeffs for j, c in enumerate(cpoly.coeffs)},
+        )
         z = SparsePoly.variable(QQ, 2, 0)
         g = SparsePoly.variable(QQ, 2, 1)
         one = SparsePoly.constant(QQ, 2, Fraction(1))

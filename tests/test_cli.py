@@ -6,8 +6,13 @@ import sys
 import time
 
 import bicrit
+import bicrit.arith
 import bicrit.pcf
 from bicrit.cli import main
+from bicrit.idf import SCAN_DMAX_LIMIT
+
+# two ~60-bit primes: Brent's rho would need about 2^30 steps to split P * Q
+P, Q = 576460752303435851, 1152921504606945751
 
 
 def run(capsys, *argv):
@@ -116,6 +121,24 @@ class TestExitCodes:
         assert code == 2
         assert time.perf_counter() - start < 5
         assert "has at least" in capsys.readouterr().err
+
+    def test_unfactorable_degree_is_usage_error(self, capsys):
+        # the factoring budget, not a hang: refused after about 5 s
+        start = time.perf_counter()
+        assert main(["idf", "find", "--d", str(P * Q), "--k", "1"]) == 2
+        assert time.perf_counter() - start < 60
+        assert f"the cofactor {P * Q} " in capsys.readouterr().err
+
+    def test_unfactorable_conjecture_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(bicrit.arith, "RHO_STEP_LIMIT", 2**16)
+        assert main(["idf", "conjecture", "--n", str(P * Q), "--k", "2"]) == 2
+        assert "Brent's rho" in capsys.readouterr().err
+
+    def test_scan_past_the_limit_is_usage_error(self, capsys):
+        start = time.perf_counter()
+        assert main(["idf", "scan", "--k", "3", "--dmax", str(10**12)]) == 2
+        assert time.perf_counter() - start < 1
+        assert f"the limit is {SCAN_DMAX_LIMIT}" in capsys.readouterr().err
 
     def test_csv_only_for_tables(self, capsys):
         assert main(
@@ -253,6 +276,13 @@ class TestCsv:
         keys = header.split(",")
         from_csv = [dict(zip(keys, row.split(","))) for row in rows]
         assert from_csv == rep["result"]["rows"]
+
+    def test_empty_table_prints_nothing(self, capsys):
+        # every degree below 2k + 1 is skipped
+        code, out = run(
+            capsys, "idf", "scan", "--dmin", "2", "--dmax", "6", "--k", "3", "--format", "csv"
+        )
+        assert code == 0 and out == ""
 
     def test_scan_marks_exception(self, capsys):
         _, rep = run_json(

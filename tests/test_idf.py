@@ -1,8 +1,9 @@
 import pytest
 
 from bicrit.arith import factor, val_p
-from bicrit.errors import DomainError
+from bicrit.errors import DomainError, ResourceBudgetError
 from bicrit.idf import (
+    SCAN_DMAX_LIMIT,
     IdfRejection,
     IdfWitness,
     conjecture_check,
@@ -105,6 +106,11 @@ class TestScanExceptions:
     def test_sieve_witnesses_match_find(self):
         for d, w in scan_witnesses(7, 600, 3):
             assert w == find_idf_prime(d, 3)
+
+    def test_dmax_over_the_limit_is_refused(self):
+        with pytest.raises(ResourceBudgetError):
+            scan_witnesses(SCAN_DMAX_LIMIT - 10, SCAN_DMAX_LIMIT + 1, 3)
+        assert scan_witnesses(SCAN_DMAX_LIMIT - 10, SCAN_DMAX_LIMIT, 3)
 
     def test_skips_out_of_range_degrees(self):
         # d < 2k + 1 is not a valid pair and must not be reported

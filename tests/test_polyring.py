@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 
 from bicrit.arith import ExtVal, INFINITY, val_p
 from bicrit.errors import DomainError
+from bicrit.pcf import critical_orbit_poly
 from bicrit.polyring import (
     GF,
     QQ,
+    FieldElem,
     SparsePoly,
     UniPoly,
     _bareiss_zx,
@@ -22,13 +24,14 @@ from util import (
     fraction_bivariate_resultant,
     poly_divmod,
     prs_resultant,
+    reduce_coeff,
     reduce_poly,
     resultant,
 )
 
 
 def qpoly(*coeffs):
-    return UniPoly(QQ, coeffs)
+    return UniPoly(coeffs)
 
 
 def sp(terms):
@@ -55,11 +58,6 @@ def two_var_polys(draw, max_x=3, max_y=3, max_terms=6):
 
 
 class TestRingOps:
-    def test_compose(self):
-        z2 = qpoly(0, 0, 1)
-        zp1 = qpoly(1, 1)
-        assert z2.compose(zp1) == qpoly(1, 2, 1)
-
     def test_derivative(self):
         f = qpoly(0, 0, 3, -2)  # 3z^2 - 2z^3
         assert f.derivative() == qpoly(0, 6, -6)
@@ -70,7 +68,15 @@ class TestRingOps:
 
     def test_mixed_domains_rejected(self):
         with pytest.raises(DomainError):
-            qpoly(1, 1) + UniPoly(GF(3), (1, 1))
+            SparsePoly(QQ, 2, {(1, 0): 1}) + SparsePoly(GF(3), 2, {(1, 0): 1})
+        with pytest.raises(DomainError):
+            qpoly(1, 1) + GF(3).one
+
+    def test_rational_coefficients_only(self):
+        # UniPoly is Q[x]: ints become Fractions, field elements are refused
+        assert all(type(c) is Fraction for c in qpoly(1, 0, 2).coeffs)
+        with pytest.raises(DomainError):
+            UniPoly([GF(5).one])
 
     def test_divmod_exact(self):
         f = qpoly(-1, 0, 0, 0, 1)  # x^4 - 1
@@ -119,12 +125,6 @@ class TestResultant:
             if f.is_zero or g.is_zero:
                 continue
             assert resultant(f, g) == prs_resultant(f, g)
-
-    def test_over_finite_field(self):
-        F5 = GF(5)
-        f = UniPoly(F5, (1, 0, 1))
-        g = UniPoly(F5, (2, 1))
-        assert resultant(f, g) == prs_resultant(f, g)
 
 
 class TestBivariateResultant:
@@ -246,7 +246,7 @@ def _specialize_a(P, a0):
     dense = [Fraction(0)] * n
     for j, c in coeffs.items():
         dense[j] = c
-    return UniPoly(QQ, dense)
+    return UniPoly(dense)
 
 
 class TestNewtonPolygon:
@@ -348,11 +348,32 @@ class TestFiniteFields:
         with pytest.raises(DomainError):
             GF(5).coerce(x)
 
-    def test_fraction_coercion(self):
+    def test_coerce_takes_ints_and_own_elements(self):
         F7 = GF(7)
-        assert F7.coerce(Fraction(1, 2)) == F7.elem(4)
+        x = F7.elem(3)
+        assert F7.coerce(10) == x and F7.coerce(x) is x
         with pytest.raises(DomainError):
-            F7.coerce(Fraction(1, 7))
+            F7.coerce(Fraction(1, 2))
+        with pytest.raises(DomainError):
+            F7.coerce(Fraction(4))
+
+    def test_no_lifting_into_the_field(self):
+        F7 = GF(7)
+        x = F7.elem(3)
+        for other in (1, Fraction(1, 2), GF(5).elem(3), GF(7, 2).one):
+            with pytest.raises(TypeError):
+                x + other
+            with pytest.raises(TypeError):
+                other + x
+            with pytest.raises(TypeError):
+                x - other
+            with pytest.raises(TypeError):
+                other * x
+            with pytest.raises(TypeError):
+                x / other
+            with pytest.raises(TypeError):
+                x == other
+        assert x * F7.elem(5) == F7.one and x != F7.one
 
 
 class TestSparsePoly:
@@ -372,9 +393,34 @@ class TestSparsePoly:
             )
             a = Fraction(rng.randrange(-8, 9))
             c = Fraction(rng.randrange(-8, 9))
-            lhs = reduce_poly(P, F3).evaluate((F3.coerce(a), F3.coerce(c)))
-            rhs = F3.coerce(P.evaluate((a, c)))
+            lhs = reduce_poly(P, F3).evaluate((reduce_coeff(a, F3), reduce_coeff(c, F3)))
+            rhs = reduce_coeff(P.evaluate((a, c)), F3)
             assert lhs == rhs
+
+    def test_evaluate_raises_only_the_exponents_that_occur(self, monkeypatch):
+        # F_7 of (d, k) = (3, 1) over GF(9) has 7 terms with c-exponents up
+        # to 729; a table of every power took about 1,100 products a point
+        F9 = GF(3, 2)
+        F = critical_orbit_poly(3, 1, 0, 7, ring=F9).poly
+        assert F.num_terms == 7
+        point = (F9.elem((1, 2)), F9.elem((2, 1)))
+        expected = F9.zero
+        for exps, t in F.terms.items():
+            for v, e in zip(point, exps):
+                for _ in range(e):
+                    t = t * v
+            expected = expected + t
+        calls = 0
+        mul = FieldElem.__mul__
+
+        def counting_mul(self, other):
+            nonlocal calls
+            calls += 1
+            return mul(self, other)
+
+        monkeypatch.setattr(FieldElem, "__mul__", counting_mul)
+        assert F.evaluate(point) == expected
+        assert calls <= 150
 
     def test_partial_derivative(self):
         P = SparsePoly(QQ, 2, {(2, 1): 3, (0, 2): -1})

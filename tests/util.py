@@ -1,12 +1,27 @@
 """Shared test oracles, independent of the implementation paths they check."""
 
 from fractions import Fraction
+from math import factorial
 
 from bicrit.arith import ExtVal
 from bicrit.belyi import belyi_coeffs
 from bicrit.errors import DomainError
-from bicrit.polyring import SparsePoly, UniPoly
+from bicrit.polyring import QQ, SparsePoly, UniPoly
 from bicrit.valdyn import CaseTag, ValParams, classify_case
+
+
+def factorial_belyi_coeffs(d, k):
+    """b_0..b_k of the normal form from the factorial formula, as Fractions:
+    b_i = (-1)^(k-i) / ((k-i)! i!) * prod_{j != i, j <= k} (d - j)."""
+    out = []
+    for i in range(k + 1):
+        prod_term = 1
+        for j in range(k + 1):
+            if j != i:
+                prod_term *= d - j
+        sign = -1 if (k - i) % 2 else 1
+        out.append(Fraction(sign * prod_term, factorial(k - i) * factorial(i)))
+    return tuple(out)
 
 
 def reduce_coeff(x, field):
@@ -17,12 +32,23 @@ def reduce_coeff(x, field):
 
 
 def reduce_poly(P, field):
-    """A UniPoly or SparsePoly over QQ reduced coefficient by coefficient."""
-    if isinstance(P, UniPoly):
-        return UniPoly(field, [reduce_coeff(c, field) for c in P.coeffs])
+    """A SparsePoly over QQ reduced coefficient by coefficient."""
     return SparsePoly(
         field, P.nvars, {e: reduce_coeff(c, field) for e, c in P.terms.items()}
     )
+
+
+def reduced_values(f, field):
+    """(x, value) of a UniPoly over QQ reduced into ``field``, for every x
+    in the order of ``field.elements()``."""
+    coeffs = [reduce_coeff(c, field) for c in f.coeffs]
+    out = []
+    for x in field.elements():
+        acc = field.zero
+        for c in reversed(coeffs):
+            acc = acc * x + c
+        out.append((x, acc))
+    return out
 
 
 def dual_orbit_solutions(d, k, n, m, field):
@@ -35,7 +61,7 @@ def dual_orbit_solutions(d, k, n, m, field):
     """
     dense = [field.zero] * (d + 1)
     for i, b in enumerate(belyi_coeffs(d, k).coeffs):
-        dense[d - i] = reduce_coeff(b, field)
+        dense[d - i] = field.elem(b)
 
     def orbit(alpha, beta, start, steps):
         z, za, zc = field.elem(start), field.zero, field.zero
@@ -44,7 +70,11 @@ def dual_orbit_solutions(d, k, n, m, field):
             for coeff in reversed(dense):  # Horner for B(z) and B'(z)
                 der = der * z + val
                 val = val * z + coeff
-            z, za, zc = alpha * val + beta, val + alpha * der * za, alpha * der * zc + 1
+            z, za, zc = (
+                alpha * val + beta,
+                val + alpha * der * za,
+                alpha * der * zc + field.one,
+            )
         return z, za, zc
 
     out = []
@@ -58,15 +88,14 @@ def dual_orbit_solutions(d, k, n, m, field):
 
 
 def poly_divmod(f, g):
-    """(quotient, remainder) of UniPolys over a field, by long division."""
+    """(quotient, remainder) of UniPolys over QQ, by long division."""
     if g.is_zero:
         raise DomainError("polynomial division by zero")
-    ring = f.ring
     rem = list(f.coeffs)
     dq = len(rem) - len(g.coeffs)
     if dq < 0:
-        return UniPoly.zero(ring), f
-    quo = [ring.zero] * (dq + 1)
+        return UniPoly(), f
+    quo = [QQ.zero] * (dq + 1)
     gb = g.coeffs
     while len(rem) >= len(gb):
         c = rem[-1] / gb[-1]
@@ -78,7 +107,7 @@ def poly_divmod(f, g):
             rem.pop()
         if not rem:
             break
-    return UniPoly(ring, quo), UniPoly(ring, rem)
+    return UniPoly(quo), UniPoly(rem)
 
 
 def exact_div(f, g):
@@ -129,15 +158,14 @@ def bareiss_det(mat, div, is_zero, zero):
 
 
 def resultant(f, g):
-    """Res(f, g) of UniPolys over a field: the Sylvester determinant,
-    f-rows above g-rows, by Bareiss elimination on field elements."""
+    """Res(f, g) of UniPolys over QQ: the Sylvester determinant, f-rows
+    above g-rows, by Bareiss elimination on Fractions."""
     if f.is_zero or g.is_zero:
         raise DomainError("resultant of the zero polynomial")
-    ring = f.ring
     if f.degree + g.degree == 0:
-        return ring.one
-    mat = sylvester_rows(list(f.coeffs), list(g.coeffs), ring.zero)
-    return bareiss_det(mat, lambda a, b: a / b, lambda x: not x, ring.zero)
+        return QQ.one
+    mat = sylvester_rows(list(f.coeffs), list(g.coeffs), QQ.zero)
+    return bareiss_det(mat, lambda a, b: a / b, lambda x: not x, QQ.zero)
 
 
 def coeff_unipolys(F, eliminate):
@@ -149,22 +177,21 @@ def coeff_unipolys(F, eliminate):
         buckets[exps[eliminate]][exps[keep]] = c
     out = []
     for bucket in buckets:
-        coeffs = [F.ring.zero] * (max(bucket, default=-1) + 1)
+        coeffs = [QQ.zero] * (max(bucket, default=-1) + 1)
         for e, c in bucket.items():
             coeffs[e] = c
-        out.append(UniPoly(F.ring, coeffs))
+        out.append(UniPoly(coeffs))
     return out
 
 
 def fraction_bivariate_resultant(F, G, eliminate):
-    """Res of two 2-variable polynomials over a field: Bareiss over
-    UniPoly entries with rational (or field) coefficients, dividing by
-    the last pivot with polynomial long division."""
+    """Res of two 2-variable polynomials over QQ: Bareiss over UniPoly
+    entries, dividing by the last pivot with polynomial long division."""
     fc = coeff_unipolys(F, eliminate)
     gc = coeff_unipolys(G, eliminate)
     if len(fc) + len(gc) == 2:
-        return UniPoly(F.ring, (F.ring.one,))
-    zero = UniPoly.zero(F.ring)
+        return UniPoly((1,))
+    zero = UniPoly()
     mat = sylvester_rows(fc, gc, zero)
     return bareiss_det(mat, exact_div, lambda u: u.is_zero, zero)
 
@@ -172,7 +199,6 @@ def fraction_bivariate_resultant(F, G, eliminate):
 def prs_resultant(f, g):
     """Resultant by the Euclidean remainder recursion (independent of the
     Sylvester/Bareiss route), pinned to the f-rows-above-g-rows sign."""
-    ring = f.ring
     if f.is_zero or g.is_zero:
         raise ValueError("resultant of zero polynomial")
 
@@ -185,8 +211,8 @@ def prs_resultant(f, g):
             return swapped if (da * db) % 2 == 0 else -swapped
         q, r = poly_divmod(a, b)
         if r.is_zero:
-            return ring.zero
-        sign = ring.one if (da * db) % 2 == 0 else -ring.one
+            return QQ.zero
+        sign = 1 if (da * db) % 2 == 0 else -1
         return sign * (b.coeffs[-1] ** (da - r.degree)) * rec(b, r)
 
     return rec(f, g)
@@ -221,11 +247,11 @@ def exact_orbit_valuations(d, k, p, alpha, beta, start, n):
 
     from bicrit.arith import INFINITY
 
-    B = belyi_coeffs(d, k)
+    B = factorial_belyi_coeffs(d, k)
     scale = 1
-    for c in B.coeffs:
+    for c in B:
         scale = lcm(scale, c.denominator)
-    bi = [int(c * scale) for c in B.coeffs]  # B = sum bi z^(d-i) / scale
+    bi = [int(c * scale) for c in B]  # B = sum bi z^(d-i) / scale
     an, ad = alpha.numerator, alpha.denominator
     bn, bd = beta.numerator, beta.denominator
     xn, xd = start, 1
