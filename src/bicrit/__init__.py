@@ -47,7 +47,6 @@ from .polyring import (
     GF,
     FieldElem,
     NewtonPolygon,
-    QQ,
     SparsePoly,
     UniPoly,
     bivariate_resultant,

@@ -16,6 +16,7 @@ from math import gcd
 from .errors import DomainError, ResourceBudgetError
 
 __all__ = [
+    "DETERMINISTIC_PRIME_BOUND",
     "ExtVal",
     "Factorization",
     "INFINITY",
@@ -24,9 +25,12 @@ __all__ = [
     "val_p",
 ]
 
-# Witness set making Miller-Rabin deterministic for n < 3.3 * 10**24,
-# far beyond any default scan bound of this package.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin to the 13 prime bases up to 41 is deterministic below
+# psi_13 = 3317044064679887385961981 (Sorenson & Webster, Math. Comp. 86,
+# 2017); the 12 bases up to 37 stop at psi_12 = 318665857834031151167461,
+# a composite they all pass.  At or above the bound a pass means "probable".
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+DETERMINISTIC_PRIME_BOUND = 3317044064679887385961981
 
 _TRIAL_LIMIT = 10**6
 
@@ -38,7 +42,8 @@ RHO_STEP_LIMIT = 2**24
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test (Miller-Rabin with a fixed witness set)."""
+    """Miller-Rabin with a fixed witness set: exact below
+    DETERMINISTIC_PRIME_BOUND, a probable-prime test at or above it."""
     if n < 2:
         return False
     for p in _MR_WITNESSES:

@@ -71,25 +71,24 @@ class BelyiPoly:
 
     def eval_sparse(self, inner: SparsePoly) -> SparsePoly:
         """B(inner) for a sparse multivariate inner polynomial."""
-        ring = inner.ring
-        acc = SparsePoly.constant(ring, inner.nvars, ring.zero)
+        acc = SparsePoly(inner.nvars, p=inner.p)
         for b in self.coeffs:
-            acc = acc * inner + SparsePoly.constant(ring, inner.nvars, b)
+            acc = acc * inner + b
         return acc * inner ** (self.d - self.k)
 
     def step(self, a, c, z: SparsePoly, budget: int) -> SparsePoly:
         """One application a*B(z) + c, refused once it exceeds ``budget`` terms.
 
-        ``a`` and ``c`` are polynomials or scalars of z's ring.
+        ``a`` and ``c`` are polynomials or scalars over z's domain, Q or GF(p).
         """
         # Refuse before multiplying when z^m alone, m the top power of B with a
-        # nonzero coefficient in z's ring, would exceed the budget.  Row i of
+        # nonzero coefficient over z's domain, would exceed the budget.  Row i of
         # P*Q (its terms with first exponent i) holds row j of P plus row i - j
         # of Q, and |A + B| >= |A| + |B| - 1 for finite lattice sets, so
         # ``power`` bounds the row sizes of z^m from below if nothing cancels.
         # Over GF(p), where z^p has no more terms than z, it can overshoot, but
         # never past the bound for the rational polynomial that z reduces.
-        m = self.d - next(i for i, b in enumerate(self.coeffs) if z.ring.coerce(b))
+        m = self.d - next(i for i, b in enumerate(self.coeffs) if z.p is None or b % z.p)
         rows, power = Counter(e[0] for e in z.terms), Counter({0: 1})
         for _ in range(m):
             grown = Counter()

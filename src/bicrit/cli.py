@@ -24,7 +24,7 @@ from dataclasses import fields, is_dataclass
 from fractions import Fraction
 
 from . import __version__
-from .arith import ExtVal
+from .arith import DETERMINISTIC_PRIME_BOUND, ExtVal
 from .belyi import belyi_coeffs, ncritical_form
 from .errors import DomainError, ResourceBudgetError
 from .idf import conjecture_check, find_idf_prime, mordell_candidates, scan_witnesses
@@ -117,14 +117,21 @@ def _h_belyi_ncrit(ns):
     return payload, "OK", EXIT_OK, None
 
 
+def _found(payload, w):
+    """A search result; a witness p at or past the bound where Miller-Rabin
+    is deterministic is labelled a probable prime."""
+    payload["witness"] = w
+    if w is not None and w.p >= DETERMINISTIC_PRIME_BOUND:
+        payload["witness_primality"] = "probable"
+    return payload, ("FOUND" if w else "NONE"), EXIT_OK, None
+
+
 def _h_idf_find(ns):
-    w = find_idf_prime(ns.d, ns.k)
-    return {"d": ns.d, "k": ns.k, "witness": w}, ("FOUND" if w else "NONE"), EXIT_OK, None
+    return _found({"d": ns.d, "k": ns.k}, find_idf_prime(ns.d, ns.k))
 
 
 def _h_idf_conjecture(ns):
-    w = conjecture_check(ns.n, ns.k)
-    return {"n": ns.n, "k": ns.k, "witness": w}, ("FOUND" if w else "NONE"), EXIT_OK, None
+    return _found({"n": ns.n, "k": ns.k}, conjecture_check(ns.n, ns.k))
 
 
 def _h_idf_scan(ns):

@@ -15,8 +15,10 @@ are stripped and logged first: a = 0 is not a degree-d map, and solutions
 with a = 0 mod p are excluded separately.
 
 Transversality is certified modulo an IDF prime p, where B collapses to
-the monomial s*z^(t*p): every common root (alpha, beta) of the locus,
-built over GF(p^e) itself, must make the Jacobian
+the monomial s*z^(t*p) with s in GF(p).  So the reduced locus and its
+Jacobian lie in GF(p)[a, c]: they are built over GF(p), the same for every
+e, and evaluated at the points of GF(p^e)^2.  Every common root
+(alpha, beta) must make the Jacobian
 
     J = F_a * G_c - G_a * F_c
 
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 from .arith import val_p
 from .belyi import belyi_coeffs, ncritical_form
@@ -36,7 +39,6 @@ from .errors import DomainError, ResourceBudgetError, UnsupportedParametersError
 from .idf import IdfWitness, find_idf_prime
 from .polyring import (
     GF,
-    QQ,
     FieldElem,
     NewtonPolygon,
     SparsePoly,
@@ -77,15 +79,17 @@ class CriticalOrbitPoly:
     k: int
     which: int  # 0 or 1: which critical point
     n: int
-    poly: SparsePoly  # in (a, c), over the ring it was built in
+    poly: SparsePoly  # in (a, c), over Q or GF(p)
 
 
 def critical_orbit_poly(
-    d: int, k: int, which: int, n: int, budget: int = DEFAULT_MONOMIAL_BUDGET, ring=QQ
+    d: int, k: int, which: int, n: int, budget: int = DEFAULT_MONOMIAL_BUDGET,
+    p: int | None = None,
 ) -> CriticalOrbitPoly:
     """F_n (which = 0) or G_n = f^n(1) - 1 (which = 1) as an exact (a, c) polynomial.
 
-    Over ``ring`` = GF(p^e) with p > k this is the rational one reduced mod p.
+    Over Q, or over GF(p) for a prime ``p`` > k, where it is the rational
+    one reduced mod p.
     """
     if which not in (0, 1):
         raise DomainError("which must be 0 or 1")
@@ -96,9 +100,9 @@ def critical_orbit_poly(
         raise ResourceBudgetError(
             f"degree d^(n-1) = {d ** (n - 1)} exceeds the budget {budget}"
         )
-    a = SparsePoly.variable(ring, 2, _A)
-    c = SparsePoly.variable(ring, 2, _C)
-    z = SparsePoly.constant(ring, 2, which)
+    a = SparsePoly.variable(2, _A, p)
+    c = SparsePoly.variable(2, _C, p)
+    z = SparsePoly.constant(2, which, p)
     for _ in range(n):
         z = belyi.step(a, c, z, budget)
     return CriticalOrbitPoly(d, k, which, n, z - which)
@@ -192,17 +196,17 @@ def integrality_certificate(
     )
 
 
-def reduce_map(d: int, k: int, witness: IdfWitness) -> tuple[FieldElem, int]:
+def reduce_map(d: int, k: int, witness: IdfWitness) -> tuple[int, int]:
     """Reduction data of B modulo the IDF prime: B == s*z^(t*p) mod p.
 
-    Returns (s, t) with s the nonzero residue of the index-r coefficient
+    Returns (s, t) with s in [1, p) the residue of the index-r coefficient
     and t*p = d - r; verifies that every other coefficient reduces to 0.
     """
     if not witness.holds_for(d, k):
         raise DomainError(f"{witness} is not an IDF witness for ({d}, {k})")
     p, r = witness.p, witness.r
     belyi = belyi_coeffs(d, k)
-    s = GF(p).elem(belyi.coeffs[r])
+    s = belyi.coeffs[r] % p
     if not s:
         raise DomainError("index-r coefficient vanished mod p; invalid witness")
     for i, b in enumerate(belyi.coeffs):
@@ -232,6 +236,11 @@ class SolveModResult:
     excluded_alpha_zero: int
 
 
+def _check_enumeration(p: int, e: int, budget: int) -> None:
+    if p ** (2 * e) > budget:
+        raise ResourceBudgetError(f"GF({p}^{e})^2 enumeration exceeds the budget")
+
+
 def solve_mod(
     d: int,
     k: int,
@@ -243,18 +252,17 @@ def solve_mod(
 ) -> SolveModResult:
     """All common roots of the reduced locus over GF(p^e), with Jacobian values.
 
-    F_n, G_m and J are built over GF(p^e) itself.  Roots with alpha = 0 are
-    excluded (a = 0 mod p is not a degree-d map and is ruled out for true
-    solutions) but counted.
+    F_n, G_m and J are built over GF(p), where they lie, and evaluated at
+    every point of GF(p^e)^2.  Roots with alpha = 0 are excluded (a = 0 mod
+    p is not a degree-d map and is ruled out for true solutions) but counted.
     """
     if not witness.holds_for(d, k):
         raise DomainError(f"{witness} is not an IDF witness for ({d}, {k})")
     p = witness.p
-    if p ** (2 * e) > budget:
-        raise ResourceBudgetError(f"GF({p}^{e})^2 enumeration exceeds the budget")
+    _check_enumeration(p, e, budget)
     field = GF(p, e)
-    Fbar = critical_orbit_poly(d, k, 0, n, ring=field).poly
-    Gbar = critical_orbit_poly(d, k, 1, m, ring=field).poly
+    Fbar = critical_orbit_poly(d, k, 0, n, p=p).poly
+    Gbar = critical_orbit_poly(d, k, 1, m, p=p).poly
     Jbar = jacobian(Fbar, Gbar)
     sols = []
     excluded = 0
@@ -291,6 +299,7 @@ def transversality_check(
 ) -> TransversalityReport:
     """PASS iff J is nonzero at every finite solution over GF(p^e), e <= e_max,
     and there is at least one; with none, DomainError (nothing was checked).
+    The largest field is held to ``budget`` before any field is enumerated.
 
     Also asserts alpha * J(alpha, beta) = +-1 in every case, recording the
     observed sign (+1 and -1 coincide when p = 2).
@@ -300,6 +309,7 @@ def transversality_check(
     witness = find_idf_prime(d, k)
     if witness is None:
         raise UnsupportedParametersError(f"no IDF prime exists for ({d}, {k})")
+    _check_enumeration(witness.p, e_max, budget)
     results = []
     signs: list[int] = []
     for e in range(1, e_max + 1):
@@ -391,43 +401,22 @@ def ncrit_counterexamples() -> NCritCounterexampleReport:
     coeffs_match = got == expected
 
     # reduce mod 3 and run the three critical orbits symbolically
-    field = GF(3)
-    a = SparsePoly.variable(field, 3, 0)
-    c = SparsePoly.variable(field, 3, 1)
-    g = SparsePoly.variable(field, 3, 2)
-    one = SparsePoly.constant(field, 3, field.one)
-    lead = a * (one + g)
+    a, c, g = (SparsePoly.variable(3, i, p=3) for i in range(3))
+    lead = a * (1 + g)
 
-    def fbar(z: SparsePoly) -> SparsePoly:
-        return lead * z**3 + c
-
-    def orbit(start: SparsePoly, steps: int) -> SparsePoly:
-        z = start
+    def orbit(z: SparsePoly, steps: int) -> SparsePoly:
         for _ in range(steps):
-            z = fbar(z)
+            z = lead * z**3 + c
         return z
 
-    reduced_str = "a*(1 + g)*z^3 + c"
-    starts = (
-        SparsePoly.constant(field, 3, field.zero),
-        one,
-        g,
-    )
-    zero3 = SparsePoly.constant(field, 3, field.zero)
-    periods = tuple(
-        (n0, n1, n2) for n0 in (1, 2) for n1 in (1, 2) for n2 in (1, 2)
-    )
+    starts = (SparsePoly(3, p=3), SparsePoly.constant(3, 1, p=3), g)
+    periods = tuple(product((1, 2), repeat=3))
     jac_zero = True
     for trip in periods:
         values = [orbit(s, steps) for s, steps in zip(starts, trip)]
-        mat = [
-            [v.partial(0) for v in values],
-            [v.partial(1) for v in values],
-            [v.partial(2) for v in values],
-        ]
-        if _det3(mat) != zero3:
+        if _det3([[v.partial(i) for v in values] for i in range(3)]):
             jac_zero = False
             break
     return NCritCounterexampleReport(
-        const_mod7, coeffs_match, reduced_str, jac_zero, periods
+        const_mod7, coeffs_match, "a*(1 + g)*z^3 + c", jac_zero, periods
     )

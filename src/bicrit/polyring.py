@@ -2,21 +2,22 @@
 
 Provides
 
-* ``QQ`` and :class:`GF` coefficient rings with a uniform ``coerce`` /
-  ``zero`` / ``one`` protocol; ``GF.coerce`` takes ints and elements of
-  its own field only.  Extension fields GF(p^e) are represented as
-  residues modulo a fixed irreducible modulus: the lexicographically
-  smallest monic irreducible of degree e, coefficients compared
-  low-degree-first as integers in [0, p).  That makes every certificate
-  reproducible bit for bit.  A :class:`FieldElem` computes with elements
-  of its own field only.  GF(p)[x] is the int-list ``_gfp_*`` helpers.
-* :class:`UniPoly`, dense univariate polynomials over QQ (lowest degree
+* :class:`GF`, the finite field GF(p^e), represented as residues modulo a
+  fixed irreducible modulus: the lexicographically smallest monic
+  irreducible of degree e, coefficients compared low-degree-first as
+  integers in [0, p).  That makes every certificate reproducible bit for
+  bit.  A :class:`FieldElem` computes with elements of its own field only;
+  ``scale`` multiplies it by an integer.  GF(p)[x] is the int-list
+  ``_gfp_*`` helpers.
+* :class:`UniPoly`, dense univariate polynomials over Q (lowest degree
   first): resultants, their content and their Newton polygons.
 * :class:`SparsePoly`, sparse polynomials in a fixed number of variables
-  over QQ or GF(p^e), the one type with a choice of ring, used with two
-  variables for the (a, c) parameter plane and with three for the
-  (a, c, gamma) counterexample checks.
-* Bivariate resultants over QQ as Sylvester determinants: denominators
+  over Q (``p`` None) or over GF(p) (``p`` a prime), with coefficients held
+  as plain numbers: ints or Fractions over Q, ints in [1, p) over GF(p).
+  Two variables carry the (a, c) parameter plane, three the (a, c, gamma)
+  counterexample checks.  A polynomial over GF(p) is evaluated at points
+  of any GF(p^e).
+* Bivariate resultants over Q as Sylvester determinants: denominators
   are cleared once, and fraction-free (Bareiss) elimination runs over
   Z[x] on int coefficient lists, where every division is exact.
 * p-adic Newton polygons with a root-valuation readout: a hull segment of
@@ -38,7 +39,6 @@ __all__ = [
     "GF",
     "FieldElem",
     "NewtonPolygon",
-    "QQ",
     "Segment",
     "SparsePoly",
     "UniPoly",
@@ -48,28 +48,13 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# coefficient rings
+# finite fields
 # ---------------------------------------------------------------------------
 
-
-class RationalField:
-    """The rationals as a coefficient ring (singleton ``QQ``)."""
-
-    zero = Fraction(0)
-    one = Fraction(1)
-
-    def coerce(self, x) -> Fraction:
-        if isinstance(x, Fraction):
-            return x
-        if isinstance(x, int):
-            return Fraction(x)
-        raise DomainError(f"cannot coerce {x!r} into QQ")
-
-    def __repr__(self):
-        return "QQ"
-
-
-QQ = RationalField()
+# The characteristics shown prime so far.  Every GF(p^e) tests its p; a
+# SparsePoly over GF(p), built for each constant of every orbit step, tests
+# p only if no field or polynomial has shown it prime yet.
+_PRIMES: set[int] = set()
 
 
 # -- GF(p)[x] helpers on plain int lists (lowest degree first, trimmed) -----
@@ -185,6 +170,7 @@ class GF:
     def __init__(self, p: int, e: int = 1):
         if not is_prime(p):
             raise DomainError(f"{p} is not prime")
+        _PRIMES.add(p)
         if e < 1:
             raise DomainError("extension degree must be >= 1")
         self.p = p
@@ -203,13 +189,6 @@ class GF:
         if len(coeffs) > self.e:
             raise DomainError("too many coefficients for this field")
         return FieldElem(self, coeffs + (0,) * (self.e - len(coeffs)))
-
-    def coerce(self, x) -> "FieldElem":
-        if isinstance(x, FieldElem) and x.field == self:
-            return x
-        if isinstance(x, int):
-            return self.elem(x)
-        raise DomainError(f"cannot coerce {x!r} into {self}")
 
     def elements(self):
         """All field elements, in a fixed order (base-p digits, low first)."""
@@ -231,6 +210,7 @@ class FieldElem:
 
     Arithmetic and equality take elements of the same field only; an int, a
     Fraction or an element of another field is never lifted (TypeError).
+    ``scale`` is the one product with an integer.
     """
 
     __slots__ = ("field", "coeffs")
@@ -278,6 +258,11 @@ class FieldElem:
         rem = rem + [0] * (fld.e - len(rem))
         return FieldElem(fld, tuple(rem))
 
+    def scale(self, c: int) -> "FieldElem":
+        """c * self for an integer c."""
+        p = self.field.p
+        return FieldElem(self.field, tuple(a * c % p for a in self.coeffs))
+
     def inverse(self) -> "FieldElem":
         """x^(q-2), which is 1/x in the multiplicative group of order q - 1."""
         if not self:
@@ -321,13 +306,22 @@ class FieldElem:
 # ---------------------------------------------------------------------------
 
 
+def _rational(x) -> Fraction:
+    """x as a Fraction; DomainError unless x is an int or a Fraction."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, int):
+        return Fraction(x)
+    raise DomainError(f"{x!r} is not a rational number")
+
+
 class UniPoly:
-    """Dense univariate polynomial over QQ; coefficients lowest degree first."""
+    """Dense univariate polynomial over Q; coefficients lowest degree first."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = [QQ.coerce(c) for c in coeffs]
+        cs = [_rational(c) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
         self.coeffs = tuple(cs)
@@ -346,7 +340,7 @@ class UniPoly:
     def __add__(self, other):
         if not isinstance(other, UniPoly):
             other = UniPoly((other,))
-        out = list(self.coeffs) + [QQ.zero] * (len(other.coeffs) - len(self.coeffs))
+        out = list(self.coeffs) + [0] * (len(other.coeffs) - len(self.coeffs))
         for i, c in enumerate(other.coeffs):
             out[i] += c
         return UniPoly(out)
@@ -364,11 +358,11 @@ class UniPoly:
 
     def __mul__(self, other):
         if not isinstance(other, UniPoly):
-            c = QQ.coerce(other)
+            c = _rational(other)
             return UniPoly(c * x for x in self.coeffs)
         if self.is_zero or other.is_zero:
             return UniPoly()
-        out = [QQ.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
                 for j, b in enumerate(other.coeffs):
@@ -403,8 +397,8 @@ class UniPoly:
         return UniPoly(i * c for i, c in enumerate(self.coeffs[1:], start=1))
 
     def evaluate(self, x):
-        x = QQ.coerce(x)
-        acc = QQ.zero
+        x = _rational(x)
+        acc = Fraction(0)
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
@@ -590,7 +584,7 @@ def _integer_rows(F: "SparsePoly", eliminate: int) -> tuple[int, list[list[int]]
 
 
 def bivariate_resultant(F: "SparsePoly", G: "SparsePoly", eliminate: int) -> UniPoly:
-    """Resultant over QQ of two 2-variable polynomials with respect to one
+    """Resultant over Q of two 2-variable polynomials with respect to one
     variable, as a UniPoly in the kept variable.
 
     The denominators are cleared first, by
@@ -601,7 +595,7 @@ def bivariate_resultant(F: "SparsePoly", G: "SparsePoly", eliminate: int) -> Uni
         raise DomainError("bivariate resultant needs two-variable polynomials")
     if not F or not G:
         raise DomainError("resultant of the zero polynomial")
-    if F.ring is not QQ or G.ring is not QQ:
+    if F.p is not None or G.p is not None:
         raise DomainError("bivariate resultant needs rational coefficients")
     lam, fc = _integer_rows(F, eliminate)
     mu, gc = _integer_rows(G, eliminate)
@@ -696,41 +690,59 @@ def newton_polygon(f: UniPoly, p: int) -> NewtonPolygon:
 
 
 class SparsePoly:
-    """Sparse polynomial in a fixed number of variables.
+    """Sparse polynomial in a fixed number of variables, over Q or GF(p).
 
-    Terms map exponent tuples to nonzero coefficients.  Two-variable
-    instances carry the (a, c) parameter polynomials; three-variable
-    instances appear in the (a, c, gamma) rigidity counterexample.
+    Terms map exponent tuples to nonzero coefficients: ints or Fractions
+    over Q (``p`` None), ints in [1, p) over GF(p) (``p`` a prime).
+    Two-variable instances carry the (a, c) parameter polynomials;
+    three-variable instances appear in the (a, c, gamma) rigidity
+    counterexample.
     """
 
-    __slots__ = ("ring", "nvars", "terms")
+    __slots__ = ("nvars", "terms", "p")
 
-    def __init__(self, ring, nvars: int, terms=None, *, _trusted=False):
-        self.ring = ring
-        self.nvars = nvars
-        if _trusted:
-            self.terms = dict(terms or {})
-            return
-        clean: dict[tuple[int, ...], object] = {}
+    def __init__(self, nvars: int, terms=None, p: int | None = None):
+        if p is not None and p not in _PRIMES:
+            if not is_prime(p):
+                raise DomainError(f"{p} is not prime")
+            _PRIMES.add(p)
+        clean = {}
         for exps, c in (terms or {}).items():
             exps = tuple(int(e) for e in exps)
             if len(exps) != nvars:
                 raise DomainError("exponent tuple has wrong length")
-            c = ring.coerce(c)
+            if not isinstance(c, (int, Fraction) if p is None else int):
+                domain = "Q" if p is None else f"GF({p})"
+                raise DomainError(f"{c!r} is not a coefficient over {domain}")
+            if p is not None:
+                c %= p
             if c:
                 clean[exps] = c
+        self.nvars = nvars
         self.terms = clean
+        self.p = p
 
     @classmethod
-    def constant(cls, ring, nvars: int, value):
-        value = ring.coerce(value)
-        terms = {(0,) * nvars: value} if value else {}
-        return cls(ring, nvars, terms, _trusted=True)
+    def constant(cls, nvars: int, value, p: int | None = None):
+        return cls(nvars, {(0,) * nvars: value}, p)
 
     @classmethod
-    def variable(cls, ring, nvars: int, index: int):
-        exps = tuple(1 if i == index else 0 for i in range(nvars))
-        return cls(ring, nvars, {exps: ring.one}, _trusted=True)
+    def variable(cls, nvars: int, index: int, p: int | None = None):
+        return cls(nvars, {tuple(int(i == index) for i in range(nvars)): 1}, p)
+
+    def _like(self, terms: dict) -> "SparsePoly":
+        """A polynomial over self's domain from nonzero, reduced terms."""
+        out = object.__new__(SparsePoly)
+        out.nvars, out.terms, out.p = self.nvars, terms, self.p
+        return out
+
+    def _operand(self, other) -> "SparsePoly":
+        """other over self's domain; a scalar becomes a constant polynomial."""
+        if not isinstance(other, SparsePoly):
+            return SparsePoly.constant(self.nvars, other, self.p)
+        if other.p != self.p or other.nvars != self.nvars:
+            raise DomainError("mixed polynomial domains")
+        return other
 
     def __bool__(self):
         return bool(self.terms)
@@ -747,51 +759,39 @@ class SparsePoly:
             return max(sum(e) for e in self.terms)
         return max(e[var] for e in self.terms)
 
-    def _check(self, other: "SparsePoly"):
-        if self.ring != other.ring or self.nvars != other.nvars:
-            raise DomainError("mixed polynomial domains")
-
     def __add__(self, other):
-        if not isinstance(other, SparsePoly):
-            other = SparsePoly.constant(self.ring, self.nvars, other)
-        self._check(other)
+        other = self._operand(other)
+        p = self.p
         out = dict(self.terms)
         for exps, c in other.terms.items():
-            s = out.get(exps)
-            s = c if s is None else s + c
+            s = out.get(exps, 0) + c
+            if p is not None:
+                s %= p
             if s:
                 out[exps] = s
-            elif exps in out:
-                del out[exps]
-        return SparsePoly(self.ring, self.nvars, out, _trusted=True)
+            else:
+                out.pop(exps, None)
+        return self._like(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return SparsePoly(
-            self.ring,
-            self.nvars,
-            {e: -c for e, c in self.terms.items()},
-            _trusted=True,
-        )
+        p = self.p
+        return self._like({e: -c if p is None else p - c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        if not isinstance(other, SparsePoly):
-            other = SparsePoly.constant(self.ring, self.nvars, other)
-        return self + (-other)
+        return self + (-self._operand(other))
 
     def __rsub__(self, other):
         return (-self) + other
 
-    def _mul_qq(self, other: "SparsePoly") -> "SparsePoly":
-        # scale both factors to integer coefficients so the accumulation
-        # runs on plain ints; one Fraction normalization per output term
-        da = 1
-        for c in self.terms.values():
-            da = lcm(da, c.denominator)
-        db = 1
-        for c in other.terms.values():
-            db = lcm(db, c.denominator)
+    def __mul__(self, other):
+        other = self._operand(other)
+        # ints have a numerator and a denominator too: both factors are scaled
+        # to integer coefficients, so the accumulation runs on plain ints over
+        # Q and over GF(p) alike, with one reduction per output term
+        da = lcm(*(c.denominator for c in self.terms.values()))
+        db = lcm(*(c.denominator for c in other.terms.values()))
         ia = [(e, c.numerator * (da // c.denominator)) for e, c in self.terms.items()]
         ib = [(e, c.numerator * (db // c.denominator)) for e, c in other.terms.items()]
         if len(ia) < len(ib):
@@ -808,46 +808,18 @@ class SparsePoly:
                 for eb, vb in ib:
                     key = tuple(x + y for x, y in zip(ea, eb))
                     acc[key] = get(key, 0) + va * vb
-        den = da * db
-        terms = {e: Fraction(v, den) for e, v in acc.items() if v}
-        return SparsePoly(self.ring, self.nvars, terms, _trusted=True)
-
-    def __mul__(self, other):
-        if not isinstance(other, SparsePoly):
-            c = self.ring.coerce(other)
-            if not c:
-                return SparsePoly(self.ring, self.nvars, {}, _trusted=True)
-            return SparsePoly(
-                self.ring,
-                self.nvars,
-                {e: v * c for e, v in self.terms.items()},
-                _trusted=True,
-            )
-        self._check(other)
-        if not self.terms or not other.terms:
-            return SparsePoly(self.ring, self.nvars, {}, _trusted=True)
-        if self.ring is QQ:
-            return self._mul_qq(other)
-        acc: dict[tuple[int, ...], object] = {}
-        for ea, va in self.terms.items():
-            for eb, vb in other.terms.items():
-                key = tuple(x + y for x, y in zip(ea, eb))
-                s = acc.get(key)
-                t = va * vb
-                acc[key] = t if s is None else s + t
-        return SparsePoly(
-            self.ring,
-            self.nvars,
-            {e: c for e, c in acc.items() if c},
-            _trusted=True,
-        )
+        p = self.p
+        if p is None:
+            den = da * db
+            return self._like({e: Fraction(v, den) for e, v in acc.items() if v})
+        return self._like({e: r for e, v in acc.items() if (r := v % p)})
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if n < 0:
             raise DomainError("negative polynomial power")
-        result = SparsePoly.constant(self.ring, self.nvars, self.ring.one)
+        result = self._operand(1)
         base = self
         while n:
             if n & 1:
@@ -860,63 +832,38 @@ class SparsePoly:
     def __eq__(self, other):
         if not isinstance(other, SparsePoly):
             return NotImplemented
-        return (
-            self.ring == other.ring
-            and self.nvars == other.nvars
-            and self.terms == other.terms
-        )
+        return (self.p, self.nvars, self.terms) == (other.p, other.nvars, other.terms)
 
     def partial(self, var: int) -> "SparsePoly":
-        out: dict[tuple[int, ...], object] = {}
+        p = self.p
+        out = {}
         for exps, c in self.terms.items():
             e = exps[var]
-            if e == 0:
-                continue
-            d = c * self.ring.coerce(e)
+            d = c * e if p is None else c * e % p
             if d:
-                key = exps[:var] + (e - 1,) + exps[var + 1 :]
-                out[key] = d
-        return SparsePoly(self.ring, self.nvars, out, _trusted=True)
+                out[exps[:var] + (e - 1,) + exps[var + 1 :]] = d
+        return self._like(out)
 
-    def evaluate(self, values):
-        """Full substitution; values coerced into the coefficient ring."""
-        ring = self.ring
-        vals = [ring.coerce(v) for v in values]
-        if len(vals) != self.nvars:
-            raise DomainError("wrong number of values")
-        # each value is raised only to the exponents that occur: the loci
-        # built over GF(p^e) have a few terms of very high degree
-        acc = ring.zero
-        for exps, t in self.terms.items():
-            for v, e in zip(vals, exps):
+    def evaluate(self, point):
+        """The value at a point of GF(p^e)^nvars, for a polynomial over GF(p).
+
+        Each monomial is formed in GF(p^e), every coordinate raised only to
+        the exponents that occur (the loci have a few terms of very high
+        degree), and then scaled by its integer coefficient.
+        """
+        field = getattr(point[0], "field", None)
+        if len(point) != self.nvars or not all(
+            isinstance(v, FieldElem) and v.field == field and field.p == self.p for v in point
+        ):
+            raise DomainError(f"{self!r} takes a point of GF(p^e)^{self.nvars}, not {point!r}")
+        acc = field.zero
+        for exps, c in self.terms.items():
+            mono = None
+            for v, e in zip(point, exps):
                 if e:
-                    t = t * v**e
-            acc = acc + t
+                    mono = v**e if mono is None else mono * v**e
+            acc = acc + (field.one if mono is None else mono).scale(c)
         return acc
 
-    def render(self, varnames) -> str:
-        if not self.terms:
-            return "0"
-        keys = sorted(self.terms, key=lambda e: (sum(e), e), reverse=True)
-        parts = []
-        for exps in keys:
-            c = self.terms[exps]
-            mono = "*".join(
-                varnames[i] if e == 1 else f"{varnames[i]}^{e}"
-                for i, e in enumerate(exps)
-                if e
-            )
-            cs = str(c)
-            if mono:
-                if cs == "1":
-                    cs = mono
-                elif cs == "-1":
-                    cs = "-" + mono
-                else:
-                    cs = f"{cs}*{mono}"
-            parts.append(cs)
-        return " + ".join(parts).replace("+ -", "- ")
-
     def __repr__(self):
-        names = ["a", "c", "g", "w"][: self.nvars]
-        return f"SparsePoly({self.render(names)})"
+        return f"SparsePoly({self.nvars}, {self.terms!r}, p={self.p})"

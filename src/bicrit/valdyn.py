@@ -32,7 +32,7 @@ from .arith import ExtVal, INFINITY, factor, val_p
 from .belyi import belyi_coeffs
 from .errors import DomainError, ResourceBudgetError
 from .idf import IdfWitness, is_idf_prime
-from .polyring import QQ, SparsePoly
+from .polyring import SparsePoly
 
 __all__ = [
     "CaseTag",
@@ -257,25 +257,25 @@ def shift_remainder(
     beta = Fraction(beta)
     B = belyi_coeffs(d, k)
 
-    X = SparsePoly.variable(QQ, 2, _X)
-    Y = SparsePoly.variable(QQ, 2, _Y)
+    X = SparsePoly.variable(2, _X)
+    Y = SparsePoly.variable(2, _Y)
 
     fx = X
     fxy = X + Y
     h = Y
     for _ in range(n):
         # powers of the current f^(m)(X) and h_m needed by the recursion
-        fpow = [SparsePoly.constant(QQ, 2, Fraction(1))]
+        fpow = [SparsePoly.constant(2, 1)]
         for _i in range(d):
             fpow.append(fpow[-1] * fx)
-        hpow = [SparsePoly.constant(QQ, 2, Fraction(1))]
+        hpow = [SparsePoly.constant(2, 1)]
         for _i in range(d):
             hpow.append(hpow[-1] * h)
             if hpow[-1].num_terms > _TERM_GUARD:
                 raise ResourceBudgetError("shift decomposition exceeded the term budget")
-        new_h = SparsePoly.constant(QQ, 2, Fraction(0))
+        new_h = SparsePoly(2)
         for j, b in zip(range(d, -1, -1), B.coeffs):  # b is the coefficient of z^j
-            inner = SparsePoly.constant(QQ, 2, Fraction(0))
+            inner = SparsePoly(2)
             for i in range(1, j + 1):
                 inner = inner + comb(j, i) * (fpow[j - i] * hpow[i])
             new_h = new_h + b * inner

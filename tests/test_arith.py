@@ -5,7 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bicrit.arith
-from bicrit.arith import ExtVal, INFINITY, factor, is_prime, val_p
+from bicrit.arith import (
+    DETERMINISTIC_PRIME_BOUND,
+    INFINITY,
+    ExtVal,
+    factor,
+    is_prime,
+    val_p,
+)
 from bicrit.errors import DomainError, ResourceBudgetError
 
 SMALL_PRIMES = [p for p in range(2, 101) if is_prime(p)]
@@ -20,6 +27,23 @@ def trial_is_prime(n):
             return False
         d += 1
     return True
+
+
+# psi_12: the least composite that passes Miller-Rabin to the 12 prime bases
+# up to 37; the bound, psi_13, is the least that also passes base 41
+PSI12 = 318665857834031151167461
+
+
+class TestPrimalityBound:
+    def test_psi12_is_composite(self):
+        assert PSI12 == 399165290221 * 798330580441
+        assert not is_prime(PSI12)
+        assert factor(PSI12).factors == ((399165290221, 1), (798330580441, 1))
+
+    def test_bound_is_the_first_pseudoprime_to_all_bases(self):
+        # which is why a witness at or past it is labelled "probable"
+        assert DETERMINISTIC_PRIME_BOUND == 1287836182261 * 2575672364521
+        assert is_prime(DETERMINISTIC_PRIME_BOUND)
 
 
 class TestFactor:

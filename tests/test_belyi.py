@@ -12,7 +12,7 @@ from bicrit.belyi import (
 )
 from bicrit.errors import DomainError, ResourceBudgetError
 from bicrit.idf import find_idf_prime
-from bicrit.polyring import QQ, SparsePoly, UniPoly
+from bicrit.polyring import SparsePoly, UniPoly
 from util import factorial_belyi_coeffs
 
 
@@ -151,13 +151,12 @@ class TestNCriticalForm:
         # d/dz g(z, gamma) = 24 z (z - 1)(z - gamma) for the quartic family
         form = ncritical_form(4, (1, 1))
         P = SparsePoly(  # vars (z, gamma)
-            QQ,
             2,
             {(e, j): c for e, cpoly in form.coeffs for j, c in enumerate(cpoly.coeffs)},
         )
-        z = SparsePoly.variable(QQ, 2, 0)
-        g = SparsePoly.variable(QQ, 2, 1)
-        one = SparsePoly.constant(QQ, 2, Fraction(1))
+        z = SparsePoly.variable(2, 0)
+        g = SparsePoly.variable(2, 1)
+        one = SparsePoly.constant(2, 1)
         assert P.partial(0) == 24 * z * (z - one) * (z - g)
 
     def test_validation(self):
@@ -174,9 +173,9 @@ class TestNCriticalForm:
 class TestStep:
     def test_one_application(self):
         b = belyi_coeffs(3, 1)
-        a = SparsePoly.variable(QQ, 2, 0)
-        c = SparsePoly.variable(QQ, 2, 1)
-        one = SparsePoly.constant(QQ, 2, Fraction(1))
+        a = SparsePoly.variable(2, 0)
+        c = SparsePoly.variable(2, 1)
+        one = SparsePoly.constant(2, 1)
         assert b.step(a, c, one, 10) == a + c  # B(1) = 1
         z = a + c
         assert b.step(a, c, z, 100) == a * (-2 * z**3 + 3 * z**2) + c
@@ -185,7 +184,7 @@ class TestStep:
 
     def test_budget(self):
         b = belyi_coeffs(3, 1)
-        a = SparsePoly.variable(QQ, 2, 0)
-        c = SparsePoly.variable(QQ, 2, 1)
+        a = SparsePoly.variable(2, 0)
+        c = SparsePoly.variable(2, 1)
         with pytest.raises(ResourceBudgetError):
             b.step(a, c, a + c, 3)

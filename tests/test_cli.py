@@ -8,11 +8,14 @@ import time
 import bicrit
 import bicrit.arith
 import bicrit.pcf
+from bicrit.arith import DETERMINISTIC_PRIME_BOUND
 from bicrit.cli import main
 from bicrit.idf import SCAN_DMAX_LIMIT
 
 # two ~60-bit primes: Brent's rho would need about 2^30 steps to split P * Q
 P, Q = 576460752303435851, 1152921504606945751
+# the least composite passing Miller-Rabin to the 12 prime bases up to 37
+PSI12 = 318665857834031151167461
 
 
 def run(capsys, *argv):
@@ -45,6 +48,20 @@ class TestExitCodes:
         code, rep = run_json(capsys, "idf", "find", "--d", "8", "--k", "2")
         assert code == 0
         assert rep["result"]["witness"] == {"p": "3", "r": "2", "e": "1"}
+
+    def test_witness_passing_twelve_bases_is_factored(self, capsys):
+        code, rep = run_json(capsys, "idf", "find", "--d", str(PSI12), "--k", "1")
+        assert code == 0
+        assert rep["result"]["witness"] == {"p": "399165290221", "r": "0", "e": "1"}
+        assert "witness_primality" not in rep["result"]
+
+    def test_witness_past_the_deterministic_bound_is_probable(self, capsys):
+        bound = str(DETERMINISTIC_PRIME_BOUND)
+        for command, flag in (("find", "--d"), ("conjecture", "--n")):
+            code, rep = run_json(capsys, "idf", command, flag, bound, "--k", "1")
+            assert code == 0
+            assert rep["result"]["witness"]["p"] == bound
+            assert rep["result"]["witness_primality"] == "probable"
 
     def test_transversality_pass(self, capsys):
         code, rep = run_json(
@@ -103,6 +120,14 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert out == ""
         assert "GF(3), GF(3^2)" in err
+
+    def test_transversality_over_budget_refused_before_enumerating(self, capsys):
+        # GF(3^1) .. GF(3^5) took about 5 s before GF(3^6) was refused
+        start = time.perf_counter()
+        argv = "pcf transversality --d 3 --k 1 --n 2 --m 1 --emax 6 --budget 100000"
+        assert main(argv.split()) == 2
+        assert time.perf_counter() - start < 1
+        assert "GF(3^6)" in capsys.readouterr().err
 
     def test_integrality_refuses_predicted_elimination_work(self, capsys):
         # passes the monomial budget, but the resultants would run for minutes

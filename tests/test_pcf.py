@@ -5,6 +5,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import bicrit.pcf
+from bicrit.belyi import belyi_coeffs
 from bicrit.errors import DomainError, ResourceBudgetError, UnsupportedParametersError
 from bicrit.idf import IdfWitness, find_idf_prime
 from bicrit.pcf import (
@@ -17,14 +18,14 @@ from bicrit.pcf import (
     solve_mod,
     transversality_check,
 )
-from bicrit.polyring import GF, QQ, SparsePoly, UniPoly
+from bicrit.polyring import GF, SparsePoly, UniPoly
 from util import dual_orbit_solutions, reduce_poly, reduced_values
 
 A, C = 0, 1
 
 
-def sp(terms):
-    return SparsePoly(QQ, 2, terms)
+def sp(terms, p=None):
+    return SparsePoly(2, terms, p)
 
 
 class TestCriticalOrbitPoly:
@@ -53,22 +54,18 @@ class TestCriticalOrbitPoly:
         n=st.integers(1, 3),
         m=st.integers(1, 3),
         p=st.sampled_from([2, 3, 5, 7]),
-        e=st.integers(1, 2),
     )
-    def test_field_build_is_reduction(self, dk, n, m, p, e):
-        # building over GF(p^e) equals reducing the rational build, p > k
+    def test_field_build_is_reduction(self, dk, n, m, p):
+        # building over GF(p) equals reducing the rational build, p > k
         d, k = dk
         assume(p > k and d ** (max(n, m) - 1) <= 25)
-        field = GF(p, e)
         F = critical_orbit_poly(d, k, 0, n)
         G = critical_orbit_poly(d, k, 1, m)
-        Fbar = critical_orbit_poly(d, k, 0, n, ring=field)
-        Gbar = critical_orbit_poly(d, k, 1, m, ring=field)
-        assert Fbar.poly == reduce_poly(F.poly, field)
-        assert Gbar.poly == reduce_poly(G.poly, field)
-        assert jacobian(Fbar.poly, Gbar.poly) == reduce_poly(
-            jacobian(F.poly, G.poly), field
-        )
+        Fbar = critical_orbit_poly(d, k, 0, n, p=p)
+        Gbar = critical_orbit_poly(d, k, 1, m, p=p)
+        assert Fbar.poly == reduce_poly(F.poly, p)
+        assert Gbar.poly == reduce_poly(G.poly, p)
+        assert jacobian(Fbar.poly, Gbar.poly) == reduce_poly(jacobian(F.poly, G.poly), p)
 
 
 CERT_CASES = [
@@ -146,19 +143,16 @@ class TestIntegralityCertificate:
 
 class TestReduceMap:
     def test_examples(self):
-        s, t = reduce_map(3, 1, find_idf_prime(3, 1))
-        assert s == GF(3).elem(1) and t == 1
-        s, t = reduce_map(5, 1, find_idf_prime(5, 1))
-        assert s == GF(5).elem(1) and t == 1
-        s, t = reduce_map(8, 2, find_idf_prime(8, 2))
-        assert s == GF(3).elem(1) and t == 2
+        assert reduce_map(3, 1, find_idf_prime(3, 1)) == (1, 1)
+        assert reduce_map(5, 1, find_idf_prime(5, 1)) == (1, 1)
+        assert reduce_map(8, 2, find_idf_prime(8, 2)) == (1, 2)
 
     def test_nontrivial_s(self):
         # (11, 3): witness p = 11, r = 0; s = b_0 mod 11
         w = find_idf_prime(11, 3)
         s, t = reduce_map(11, 3, w)
         assert t * w.p == 11 - w.r
-        assert s  # nonzero
+        assert 0 < s < w.p and s == belyi_coeffs(11, 3).coeffs[w.r] % w.p
 
     def test_bad_witness(self):
         with pytest.raises(DomainError):
@@ -176,10 +170,9 @@ class TestJacobian:
         assert not jacobian(F, F)
 
     def test_mod3_reduction(self):
-        F3 = GF(3)
-        F = critical_orbit_poly(3, 1, 0, 2, ring=F3).poly
-        G = critical_orbit_poly(3, 1, 1, 1, ring=F3).poly
-        assert jacobian(F, G) == SparsePoly(F3, 2, {(0, 3): 1, (0, 0): -1})  # c^3 - 1
+        F = critical_orbit_poly(3, 1, 0, 2, p=3).poly
+        G = critical_orbit_poly(3, 1, 1, 1, p=3).poly
+        assert jacobian(F, G) == sp({(0, 3): 1, (0, 0): -1}, p=3)  # c^3 - 1
 
 
 class TestSolveMod:
@@ -216,6 +209,23 @@ class TestSolveMod:
         with pytest.raises(ResourceBudgetError):
             solve_mod(3, 1, 1, 1, w, 9, budget=100)
 
+    @settings(max_examples=30, deadline=None)
+    @given(
+        dk=st.sampled_from([(3, 1), (4, 1), (5, 1), (5, 2), (6, 1), (7, 2), (8, 2), (9, 2)]),
+        n=st.integers(1, 3),
+        m=st.integers(1, 3),
+        e=st.integers(1, 5),
+    )
+    def test_matches_pointwise_iteration(self, dk, n, m, e):
+        # the locus built over GF(p) and evaluated in GF(p^e), against
+        # f iterated on every point of GF(p^e)^2 with dual numbers
+        d, k = dk
+        w = find_idf_prime(d, k)
+        assume(w.p ** (2 * e) <= 2_500)
+        res = solve_mod(d, k, n, m, w, e)
+        got = [(s.alpha, s.beta, s.jacobian_value) for s in res.solutions]
+        assert got == dual_orbit_solutions(d, k, n, m, res.field)
+
 
 class TestTransversality:
     def test_examples(self):
@@ -248,6 +258,14 @@ class TestTransversality:
         with pytest.raises(UnsupportedParametersError):
             transversality_check(27, 3, 1, 1)
 
+    def test_largest_field_is_held_to_the_budget_first(self, monkeypatch):
+        def no_enumeration(*args, **kwargs):
+            raise AssertionError("a field was enumerated")
+
+        monkeypatch.setattr(bicrit.pcf, "solve_mod", no_enumeration)
+        with pytest.raises(ResourceBudgetError, match=r"GF\(3\^6\)\^2"):
+            transversality_check(3, 1, 2, 1, e_max=6, budget=100_000)
+
     def test_no_solution_is_not_a_pass(self, monkeypatch):
         # with no finite solution in any field, no Jacobian was checked
         def no_solutions(d, k, n, m, witness, e=1, budget=1_000_000):
@@ -258,7 +276,7 @@ class TestTransversality:
             transversality_check(4, 1, 1, 1, e_max=2)
 
     def test_deep_orbit_matches_pointwise_iteration(self):
-        # F_7 over QQ overflows the monomial budget; mod 3 it has 7 terms
+        # F_7 over Q overflows the monomial budget; mod 3 it has 7 terms
         start = time.perf_counter()
         rep = transversality_check(3, 1, 7, 1, e_max=2)
         assert time.perf_counter() - start < 5
@@ -273,36 +291,29 @@ class TestReductionStructure:
         # f^n(0) built over GF(p) equals iterating the monomial a*s*z^(t*p) + c
         for d, k in ((3, 1), (5, 1), (5, 2), (8, 2)):
             w = find_idf_prime(d, k)
-            field = GF(w.p)
             s, t = reduce_map(d, k, w)
-            a = SparsePoly.variable(field, 2, A)
-            c = SparsePoly.variable(field, 2, C)
+            a = SparsePoly.variable(2, A, w.p)
+            c = SparsePoly.variable(2, C, w.p)
             for which in (0, 1):
-                z = SparsePoly.constant(field, 2, field.elem(which))
+                z = SparsePoly.constant(2, which, w.p)
                 for n in range(1, 4):
                     z = a * s * z ** (t * w.p) + c
                     # which = 1 already carries the -1 of G_n = f^n(1) - 1
-                    full = critical_orbit_poly(d, k, which, n, ring=field).poly
-                    expected = (
-                        z - SparsePoly.constant(field, 2, field.one)
-                        if which == 1
-                        else z
-                    )
-                    assert full == expected
+                    full = critical_orbit_poly(d, k, which, n, p=w.p).poly
+                    assert full == z - which
 
     def test_derivative_collapse(self):
         # d/da fbar^n(0) = s * (fbar^(n-1)(0))^(t p), d/dc fbar^n(0) = 1
         for d, k in ((3, 1), (5, 2)):
             w = find_idf_prime(d, k)
-            field = GF(w.p)
             s, t = reduce_map(d, k, w)
-            one = SparsePoly.constant(field, 2, field.one)
+            one = SparsePoly.constant(2, 1, w.p)
             for n in range(1, 4):
-                fn = critical_orbit_poly(d, k, 0, n, ring=field).poly
+                fn = critical_orbit_poly(d, k, 0, n, p=w.p).poly
                 prev = (
-                    critical_orbit_poly(d, k, 0, n - 1, ring=field).poly
+                    critical_orbit_poly(d, k, 0, n - 1, p=w.p).poly
                     if n > 1
-                    else SparsePoly.constant(field, 2, field.zero)
+                    else SparsePoly(2, p=w.p)
                 )
                 assert fn.partial(A) == s * prev ** (t * w.p)
                 assert fn.partial(C) == one

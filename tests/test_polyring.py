@@ -10,7 +10,6 @@ from bicrit.errors import DomainError
 from bicrit.pcf import critical_orbit_poly
 from bicrit.polyring import (
     GF,
-    QQ,
     FieldElem,
     SparsePoly,
     UniPoly,
@@ -34,8 +33,8 @@ def qpoly(*coeffs):
     return UniPoly(coeffs)
 
 
-def sp(terms):
-    return SparsePoly(QQ, 2, terms)
+def sp(terms, p=None):
+    return SparsePoly(2, terms, p)
 
 
 def rationals(nonzero=False):
@@ -45,13 +44,27 @@ def rationals(nonzero=False):
 
 @st.composite
 def two_var_polys(draw, max_x=3, max_y=3, max_terms=6):
-    """A nonzero 2-variable polynomial over QQ with small rational coefficients."""
+    """A nonzero 2-variable polynomial over Q with small rational coefficients."""
     terms = draw(
         st.dictionaries(
             st.tuples(st.integers(0, max_x), st.integers(0, max_y)),
             rationals(nonzero=True),
             min_size=1,
             max_size=max_terms,
+        )
+    )
+    return sp(terms)
+
+
+@st.composite
+def reducible_polys(draw, p, max_terms=6):
+    """A 2-variable polynomial over Q whose denominators are prime to p."""
+    coeffs = st.builds(
+        Fraction, st.integers(-9, 9), st.sampled_from([q for q in range(1, 7) if q % p])
+    )
+    terms = draw(
+        st.dictionaries(
+            st.tuples(st.integers(0, 3), st.integers(0, 3)), coeffs, max_size=max_terms
         )
     )
     return sp(terms)
@@ -68,7 +81,9 @@ class TestRingOps:
 
     def test_mixed_domains_rejected(self):
         with pytest.raises(DomainError):
-            SparsePoly(QQ, 2, {(1, 0): 1}) + SparsePoly(GF(3), 2, {(1, 0): 1})
+            sp({(1, 0): 1}) + sp({(1, 0): 1}, p=3)
+        with pytest.raises(DomainError):
+            sp({(1, 0): 1}, p=3) * sp({(1, 0): 1}, p=5)
         with pytest.raises(DomainError):
             qpoly(1, 1) + GF(3).one
 
@@ -129,8 +144,8 @@ class TestResultant:
 
 class TestBivariateResultant:
     def test_direct_elimination(self):
-        c_poly = SparsePoly(QQ, 2, {(0, 1): 1})
-        g = SparsePoly(QQ, 2, {(1, 0): 1, (0, 1): 1, (0, 0): -1})
+        c_poly = sp({(0, 1): 1})
+        g = sp({(1, 0): 1, (0, 1): 1, (0, 0): -1})
         r_in_a = bivariate_resultant(c_poly, g, eliminate=1)
         assert r_in_a in (qpoly(-1, 1), qpoly(1, -1))
         r_in_c = bivariate_resultant(c_poly, g, eliminate=0)
@@ -140,21 +155,17 @@ class TestBivariateResultant:
         # Res_c(F, G)(a0) = Res_c(F(a0, .), G(a0, .)) when no degree drop
         rng = random.Random(23)
         for _ in range(25):
-            F = SparsePoly(
-                QQ,
-                2,
+            F = sp(
                 {
                     (rng.randrange(3), rng.randrange(3)): rng.randrange(-4, 5)
                     for _ in range(4)
-                },
+                }
             )
-            G = SparsePoly(
-                QQ,
-                2,
+            G = sp(
                 {
                     (rng.randrange(3), rng.randrange(3)): rng.randrange(-4, 5)
                     for _ in range(4)
-                },
+                }
             )
             if not F or not G or F.degree(1) < 1 or G.degree(1) < 1:
                 continue
@@ -232,8 +243,7 @@ class TestBivariateResultant:
         assert _zx_exact_div([-1, 0, 1], [1, 1]) == [-1, 1]
 
     def test_rejects_other_rings(self):
-        F5 = GF(5)
-        F = SparsePoly(F5, 2, {(1, 0): 1})
+        F = sp({(1, 0): 1}, p=5)
         with pytest.raises(DomainError):
             bivariate_resultant(F, F, 0)
 
@@ -343,19 +353,11 @@ class TestFiniteFields:
             a, b, c = els[1], els[-1], els[len(els) // 2]
             assert a * (b + c) == a * b + a * c
 
-    def test_embedding(self):
-        x = GF(3).elem(2)
-        with pytest.raises(DomainError):
-            GF(5).coerce(x)
-
-    def test_coerce_takes_ints_and_own_elements(self):
-        F7 = GF(7)
-        x = F7.elem(3)
-        assert F7.coerce(10) == x and F7.coerce(x) is x
-        with pytest.raises(DomainError):
-            F7.coerce(Fraction(1, 2))
-        with pytest.raises(DomainError):
-            F7.coerce(Fraction(4))
+    def test_scale_is_the_product_with_the_integer(self):
+        F9 = GF(3, 2)
+        for x in F9.elements():
+            for c in range(-5, 10):
+                assert x.scale(c) == F9.elem(c) * x
 
     def test_no_lifting_into_the_field(self):
         F7 = GF(7)
@@ -381,31 +383,30 @@ class TestSparsePoly:
         rng = random.Random(31)
         F3 = GF(3)
         for _ in range(30):
-            P = SparsePoly(
-                QQ,
-                2,
+            P = sp(
                 {
                     (rng.randrange(3), rng.randrange(3)): Fraction(
                         rng.randrange(-6, 7), rng.choice([1, 2, 4, 5])
                     )
                     for _ in range(5)
-                },
+                }
             )
             a = Fraction(rng.randrange(-8, 9))
             c = Fraction(rng.randrange(-8, 9))
-            lhs = reduce_poly(P, F3).evaluate((reduce_coeff(a, F3), reduce_coeff(c, F3)))
-            rhs = reduce_coeff(P.evaluate((a, c)), F3)
-            assert lhs == rhs
+            lhs = reduce_poly(P, 3).evaluate((reduce_coeff(a, F3), reduce_coeff(c, F3)))
+            value = sum(coeff * a**i * c**j for (i, j), coeff in P.terms.items())
+            assert lhs == reduce_coeff(value, F3)
 
     def test_evaluate_raises_only_the_exponents_that_occur(self, monkeypatch):
-        # F_7 of (d, k) = (3, 1) over GF(9) has 7 terms with c-exponents up
-        # to 729; a table of every power took about 1,100 products a point
+        # F_7 of (d, k) = (3, 1) mod 3 has 7 terms with c-exponents up to
+        # 729; a table of every power took about 1,100 products a point
         F9 = GF(3, 2)
-        F = critical_orbit_poly(3, 1, 0, 7, ring=F9).poly
+        F = critical_orbit_poly(3, 1, 0, 7, p=3).poly
         assert F.num_terms == 7
         point = (F9.elem((1, 2)), F9.elem((2, 1)))
         expected = F9.zero
-        for exps, t in F.terms.items():
+        for exps, c in F.terms.items():
+            t = F9.elem(c)
             for v, e in zip(point, exps):
                 for _ in range(e):
                     t = t * v
@@ -422,14 +423,56 @@ class TestSparsePoly:
         assert F.evaluate(point) == expected
         assert calls <= 150
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        data=st.data(),
+        p=st.sampled_from((2, 3, 5, 7)),
+        n=st.integers(0, 4),
+        var=st.sampled_from((0, 1)),
+    )
+    def test_arithmetic_over_gfp_is_reduction(self, data, p, n, var):
+        F, G = data.draw(reducible_polys(p)), data.draw(reducible_polys(p))
+        Fp, Gp = reduce_poly(F, p), reduce_poly(G, p)
+        assert all(0 < c < p and type(c) is int for c in Fp.terms.values())
+        assert Fp + Gp == reduce_poly(F + G, p)
+        assert Fp - Gp == reduce_poly(F - G, p)
+        assert -Fp == reduce_poly(-F, p)
+        assert Fp * Gp == reduce_poly(F * G, p)
+        assert Fp**n == reduce_poly(F**n, p)
+        assert Fp.partial(var) == reduce_poly(F.partial(var), p)
+
+    def test_refusals(self):
+        F3 = GF(3)
+        for bad in (Fraction(1, 2), Fraction(4), F3.one, 0.5):
+            with pytest.raises(DomainError):
+                sp({(0, 0): bad}, p=3)
+        for bad in (F3.one, 0.5, "1"):
+            with pytest.raises(DomainError):
+                sp({(0, 0): bad})
+        for bad_p in (1, 9, 91):
+            with pytest.raises(DomainError, match="not prime"):
+                SparsePoly.variable(2, 0, p=bad_p)
+        x3 = SparsePoly.variable(2, 0, p=3)
+        with pytest.raises(DomainError):
+            x3 * F3.one  # a field element is no coefficient
+        with pytest.raises(DomainError):
+            x3 + SparsePoly.variable(2, 0)
+        F25 = GF(5, 2)
+        with pytest.raises(DomainError):
+            x3.evaluate((F25.one, F25.one))
+        with pytest.raises(DomainError):
+            x3.evaluate((F3.one, GF(3, 2).one))
+        with pytest.raises(DomainError):
+            SparsePoly.variable(2, 0).evaluate((F3.one, F3.one))
+        assert x3.evaluate((F3.elem(2), F3.one)) == F3.elem(2)
+
     def test_partial_derivative(self):
-        P = SparsePoly(QQ, 2, {(2, 1): 3, (0, 2): -1})
-        assert P.partial(0) == SparsePoly(QQ, 2, {(1, 1): 6})
-        assert P.partial(1) == SparsePoly(QQ, 2, {(2, 0): 3, (0, 1): -2})
+        P = sp({(2, 1): 3, (0, 2): -1})
+        assert P.partial(0) == sp({(1, 1): 6})
+        assert P.partial(1) == sp({(2, 0): 3, (0, 1): -2})
 
     def test_mul_matches_generic(self):
         rng = random.Random(13)
-        F5 = GF(5)
         for _ in range(20):
             terms_a = {
                 (rng.randrange(3), rng.randrange(3)): rng.randrange(-9, 10)
@@ -439,7 +482,7 @@ class TestSparsePoly:
                 (rng.randrange(3), rng.randrange(3)): rng.randrange(-9, 10)
                 for _ in range(4)
             }
-            A, B = SparsePoly(QQ, 2, terms_a), SparsePoly(QQ, 2, terms_b)
-            prod_q = reduce_poly(A * B, F5)
-            prod_f = reduce_poly(A, F5) * reduce_poly(B, F5)
+            A, B = sp(terms_a), sp(terms_b)
+            prod_q = reduce_poly(A * B, 5)
+            prod_f = reduce_poly(A, 5) * reduce_poly(B, 5)
             assert prod_q == prod_f

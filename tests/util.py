@@ -6,7 +6,7 @@ from math import factorial
 from bicrit.arith import ExtVal
 from bicrit.belyi import belyi_coeffs
 from bicrit.errors import DomainError
-from bicrit.polyring import QQ, SparsePoly, UniPoly
+from bicrit.polyring import SparsePoly, UniPoly
 from bicrit.valdyn import CaseTag, ValParams, classify_case
 
 
@@ -31,15 +31,17 @@ def reduce_coeff(x, field):
     return field.elem(x.numerator * pow(x.denominator, -1, p) % p)
 
 
-def reduce_poly(P, field):
-    """A SparsePoly over QQ reduced coefficient by coefficient."""
+def reduce_poly(P, p):
+    """A SparsePoly over Q reduced mod p coefficient by coefficient."""
     return SparsePoly(
-        field, P.nvars, {e: reduce_coeff(c, field) for e, c in P.terms.items()}
+        P.nvars,
+        {e: c.numerator * pow(c.denominator, -1, p) for e, c in P.terms.items()},
+        p,
     )
 
 
 def reduced_values(f, field):
-    """(x, value) of a UniPoly over QQ reduced into ``field``, for every x
+    """(x, value) of a UniPoly over Q reduced into ``field``, for every x
     in the order of ``field.elements()``."""
     coeffs = [reduce_coeff(c, field) for c in f.coeffs]
     out = []
@@ -88,14 +90,14 @@ def dual_orbit_solutions(d, k, n, m, field):
 
 
 def poly_divmod(f, g):
-    """(quotient, remainder) of UniPolys over QQ, by long division."""
+    """(quotient, remainder) of UniPolys over Q, by long division."""
     if g.is_zero:
         raise DomainError("polynomial division by zero")
     rem = list(f.coeffs)
     dq = len(rem) - len(g.coeffs)
     if dq < 0:
         return UniPoly(), f
-    quo = [QQ.zero] * (dq + 1)
+    quo = [Fraction(0)] * (dq + 1)
     gb = g.coeffs
     while len(rem) >= len(gb):
         c = rem[-1] / gb[-1]
@@ -158,14 +160,14 @@ def bareiss_det(mat, div, is_zero, zero):
 
 
 def resultant(f, g):
-    """Res(f, g) of UniPolys over QQ: the Sylvester determinant, f-rows
+    """Res(f, g) of UniPolys over Q: the Sylvester determinant, f-rows
     above g-rows, by Bareiss elimination on Fractions."""
     if f.is_zero or g.is_zero:
         raise DomainError("resultant of the zero polynomial")
     if f.degree + g.degree == 0:
-        return QQ.one
-    mat = sylvester_rows(list(f.coeffs), list(g.coeffs), QQ.zero)
-    return bareiss_det(mat, lambda a, b: a / b, lambda x: not x, QQ.zero)
+        return Fraction(1)
+    mat = sylvester_rows(list(f.coeffs), list(g.coeffs), Fraction(0))
+    return bareiss_det(mat, lambda a, b: a / b, lambda x: not x, Fraction(0))
 
 
 def coeff_unipolys(F, eliminate):
@@ -177,7 +179,7 @@ def coeff_unipolys(F, eliminate):
         buckets[exps[eliminate]][exps[keep]] = c
     out = []
     for bucket in buckets:
-        coeffs = [QQ.zero] * (max(bucket, default=-1) + 1)
+        coeffs = [Fraction(0)] * (max(bucket, default=-1) + 1)
         for e, c in bucket.items():
             coeffs[e] = c
         out.append(UniPoly(coeffs))
@@ -185,7 +187,7 @@ def coeff_unipolys(F, eliminate):
 
 
 def fraction_bivariate_resultant(F, G, eliminate):
-    """Res of two 2-variable polynomials over QQ: Bareiss over UniPoly
+    """Res of two 2-variable polynomials over Q: Bareiss over UniPoly
     entries, dividing by the last pivot with polynomial long division."""
     fc = coeff_unipolys(F, eliminate)
     gc = coeff_unipolys(G, eliminate)
@@ -211,7 +213,7 @@ def prs_resultant(f, g):
             return swapped if (da * db) % 2 == 0 else -swapped
         q, r = poly_divmod(a, b)
         if r.is_zero:
-            return QQ.zero
+            return Fraction(0)
         sign = 1 if (da * db) % 2 == 0 else -1
         return sign * (b.coeffs[-1] ** (da - r.degree)) * rec(b, r)
 
