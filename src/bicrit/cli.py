@@ -345,11 +345,7 @@ COMMANDS = [
     ("pcf", "transversality", _h_pcf_transversality, "Jacobian mod p", {
         **_LOCUS,
         "emax": {"type": int, "default": 1, "help": "largest extension degree"},
-        "budget": {
-            "type": int,
-            "default": DEFAULT_MONOMIAL_BUDGET,
-            "help": "cap on the p^(2e) field points enumerated for each e",
-        },
+        "budget": _MONOMIALS,
     }),
     ("pcf", "counterexamples", _h_pcf_counterexamples, "n-critical failure checks", {}),
 ]

@@ -17,8 +17,9 @@ with a = 0 mod p are excluded separately.
 Transversality is certified modulo an IDF prime p, where B collapses to
 the monomial s*z^(t*p) with s in GF(p).  So the reduced locus and its
 Jacobian lie in GF(p)[a, c]: they are built over GF(p), the same for every
-e, and evaluated at the points of GF(p^e)^2.  Every common root
-(alpha, beta) must make the Jacobian
+e, and their common roots over GF(p^e) come from elimination: the roots of
+Res_c(F, G) over GF(p) that lie in GF(p^e), then the common roots in c above
+each of them.  Every common root (alpha, beta) must make the Jacobian
 
     J = F_a * G_c - G_a * F_c
 
@@ -44,13 +45,17 @@ from .polyring import (
     SparsePoly,
     UniPoly,
     bivariate_resultant,
+    common_roots,
+    frobenius_orbits,
     newton_polygon,
+    resultant_mod,
 )
 
 __all__ = [
     "CriticalOrbitPoly",
     "DEFAULT_MONOMIAL_BUDGET",
     "ELIMINATION_WORK_LIMIT",
+    "FIELD_WORK_LIMIT",
     "FiniteSolution",
     "IntegralityCertificate",
     "NCritCounterexampleReport",
@@ -69,6 +74,12 @@ DEFAULT_MONOMIAL_BUDGET = 10_000
 # integrality_certificate refuses resultants whose _elimination_work exceeds
 # this: up to about a minute of Bareiss elimination over Z[x]
 ELIMINATION_WORK_LIMIT = 3 * 10**8
+# transversality_check refuses an e_max whose _field_work, summed over the
+# fields, exceeds this: up to about half a minute
+FIELD_WORK_LIMIT = 10**9
+# the time of one step of a GF(p^e) product against one step on int lists:
+# about 250-500 ns against 10 ns, measured on the orbit scan and on Bareiss
+_FIELD_STEP = 30
 
 _A, _C = 0, 1
 
@@ -115,7 +126,9 @@ def _elimination_work(F: SparsePoly, G: SparsePoly) -> int:
     each Bareiss step updates about s = min(deg_x F, deg_x G) rows, and the
     entries grow to degree D = deg_x F * deg_y G + deg_x G * deg_y F (the
     Bezout bound on the resultant's degree).  s * N * D^2 of the larger
-    elimination tracks measured run times to within a small factor.
+    elimination tracks measured run times to within a small factor.  With
+    s = 1 the linear polynomial is substituted into the other one: N Horner
+    steps on polynomials of degree up to D, N * D.
     """
     work = 0
     for x in (_A, _C):
@@ -123,7 +136,7 @@ def _elimination_work(F: SparsePoly, G: SparsePoly) -> int:
         s = min(F.degree(x), G.degree(x))
         size = F.degree(x) + G.degree(x)
         deg = F.degree(x) * G.degree(y) + G.degree(x) * F.degree(y)
-        work = max(work, s * size * deg**2)
+        work = max(work, size * deg if s == 1 else s * size * deg**2)
     return work
 
 
@@ -222,6 +235,37 @@ def jacobian(F: SparsePoly, G: SparsePoly) -> SparsePoly:
     return F.partial(_A) * G.partial(_C) - G.partial(_A) * F.partial(_C)
 
 
+def _field_work(d: int, witness: IdfWitness, n: int, m: int, e: int) -> tuple[int, bool]:
+    """Predicted cost of solve_mod over GF(p^e), from degrees alone, and
+    whether it eliminates.
+
+    Mod p the orbit step is a*s*z^N + c with N = d - r, so deg_c F_n =
+    N^(n-1) and deg_a F_n = 1 + N + ... + N^(n-2), and G_m has one more
+    power of N in a; D, the Bezout bound on deg R, follows, and so does the
+    predicted work of Res_c over GF(p), priced as in _elimination_work.
+    Building the smallest irreducible modulus takes about e Rabin tests of
+    e log p products of degree-e polynomials, and splitting off a root of a
+    degree-e factor takes e log p products over GF(p^e): e^5 log p in all.
+    Eliminating adds R and a^(p^e) mod R, e log p products of degree-D
+    polynomials.  Where R alone would pass ELIMINATION_WORK_LIMIT, one alpha
+    of each of the p^e / e Frobenius orbits of GF(p^e) is tried instead, at
+    the cost of a gcd of degree-deg_c polynomials over GF(p^e) each.  One
+    step of a product in GF(p^e), a FieldElem operation, is priced at
+    _FIELD_STEP steps on int lists.
+    """
+    N = d - witness.r
+    fc, fa = N ** (n - 1), sum(N**i for i in range(n - 1))
+    gc, ga = N ** (m - 1), sum(N**i for i in range(m))
+    D = fc * ga + gc * fa
+    s, size = min(fc, gc), fc + gc
+    resultant = size * D if s == 1 else s * size * D**2
+    bits = witness.p.bit_length()
+    work = _FIELD_STEP * bits * e**5
+    if resultant <= ELIMINATION_WORK_LIMIT:
+        return work + resultant + bits * e * D**2, True
+    return work + _FIELD_STEP * witness.p**e * e * max(fc, gc) ** 2, False
+
+
 @dataclass(frozen=True)
 class FiniteSolution:
     alpha: FieldElem
@@ -236,11 +280,6 @@ class SolveModResult:
     excluded_alpha_zero: int
 
 
-def _check_enumeration(p: int, e: int, budget: int) -> None:
-    if p ** (2 * e) > budget:
-        raise ResourceBudgetError(f"GF({p}^{e})^2 enumeration exceeds the budget")
-
-
 def solve_mod(
     d: int,
     k: int,
@@ -248,36 +287,51 @@ def solve_mod(
     m: int,
     witness: IdfWitness,
     e: int = 1,
-    budget: int = 1_000_000,
+    budget: int = DEFAULT_MONOMIAL_BUDGET,
 ) -> SolveModResult:
-    """All common roots of the reduced locus over GF(p^e), with Jacobian values.
+    """All common roots of the reduced locus over GF(p^e), with Jacobian
+    values, sorted by (alpha, beta) coefficient tuples.
 
-    F_n, G_m and J are built over GF(p), where they lie, and evaluated at
-    every point of GF(p^e)^2.  Roots with alpha = 0 are excluded (a = 0 mod
-    p is not a degree-d map and is ruled out for true solutions) but counted.
+    F_n, G_m (each under the monomial ``budget``) and J are built over
+    GF(p), where they lie, and the roots come from elimination.  The leading
+    coefficients of F and G in c are monomials in a, so for alpha != 0,
+    R(alpha) = 0 for R = Res_c(F, G) over GF(p) exactly when F(alpha, c)
+    and G(alpha, c) have a common root.  One root alpha of each irreducible
+    factor of R whose degree divides e gives the common roots beta in
+    GF(p^e) of F(alpha, c) and G(alpha, c); the rest are their images under
+    (alpha, beta) -> (alpha^p, beta^p).  Where R is predicted to cost more
+    than ELIMINATION_WORK_LIMIT (high degrees, as for (8, 2, 3, 3), where
+    deg R reaches 1800), one alpha of every Frobenius orbit of GF(p^e)* is
+    tried instead.  No root has alpha = 0, where F = c and G = c - 1, so
+    ``excluded_alpha_zero`` is 0.
     """
     if not witness.holds_for(d, k):
         raise DomainError(f"{witness} is not an IDF witness for ({d}, {k})")
     p = witness.p
-    _check_enumeration(p, e, budget)
-    field = GF(p, e)
-    Fbar = critical_orbit_poly(d, k, 0, n, p=p).poly
-    Gbar = critical_orbit_poly(d, k, 1, m, p=p).poly
+    Fbar = critical_orbit_poly(d, k, 0, n, budget, p).poly
+    Gbar = critical_orbit_poly(d, k, 1, m, budget, p).poly
     Jbar = jacobian(Fbar, Gbar)
-    sols = []
-    excluded = 0
-    for alpha in field.elements():
-        for beta in field.elements():
-            if Fbar.evaluate((alpha, beta)):
-                continue
-            if Gbar.evaluate((alpha, beta)):
-                continue
-            if not alpha:
-                excluded += 1
-                continue
-            jv = Jbar.evaluate((alpha, beta))
-            sols.append(FiniteSolution(alpha, beta, jv))
-    return SolveModResult(field, tuple(sols), excluded)
+    field = GF(p, e)
+    if _field_work(d, witness, n, m, e)[1]:
+        R = resultant_mod(Fbar, Gbar, eliminate=_C)
+        if not R:
+            raise DomainError(
+                f"Res_c(F_{n}, G_{m}) vanishes mod {p}: the reduced curves share a component"
+            )
+        while not R[0]:  # a^j: alpha = 0 is no solution
+            R = R[1:]
+        alphas = frobenius_orbits(R, field)
+    else:
+        alphas = field.orbits()
+    points = []
+    for alpha, size in alphas:
+        betas = common_roots(Fbar.specialize(_A, alpha), Gbar.specialize(_A, alpha), field)
+        for _ in range(size):
+            points += [(alpha, beta) for beta in betas]
+            alpha, betas = alpha**p, [beta**p for beta in betas]
+    points.sort(key=lambda pt: (pt[0].coeffs, pt[1].coeffs))
+    sols = (FiniteSolution(a, c, Jbar.evaluate((a, c))) for a, c in points)
+    return SolveModResult(field, tuple(sols), 0)
 
 
 @dataclass(frozen=True)
@@ -295,11 +349,12 @@ class TransversalityReport:
 
 
 def transversality_check(
-    d: int, k: int, n: int, m: int, e_max: int = 1, budget: int = 1_000_000
+    d: int, k: int, n: int, m: int, e_max: int = 1, budget: int = DEFAULT_MONOMIAL_BUDGET
 ) -> TransversalityReport:
     """PASS iff J is nonzero at every finite solution over GF(p^e), e <= e_max,
     and there is at least one; with none, DomainError (nothing was checked).
-    The largest field is held to ``budget`` before any field is enumerated.
+    ``budget`` caps the monomials of F_n and G_m.  An e_max whose predicted
+    field work exceeds FIELD_WORK_LIMIT is refused before any field is built.
 
     Also asserts alpha * J(alpha, beta) = +-1 in every case, recording the
     observed sign (+1 and -1 coincide when p = 2).
@@ -309,7 +364,12 @@ def transversality_check(
     witness = find_idf_prime(d, k)
     if witness is None:
         raise UnsupportedParametersError(f"no IDF prime exists for ({d}, {k})")
-    _check_enumeration(witness.p, e_max, budget)
+    work = sum(_field_work(d, witness, n, m, e)[0] for e in range(1, e_max + 1))
+    if work > FIELD_WORK_LIMIT:
+        raise ResourceBudgetError(
+            f"GF({witness.p}^e) for e <= {e_max}: predicted field work {work:.2e} "
+            f"exceeds the limit {FIELD_WORK_LIMIT:.0e}"
+        )
     results = []
     signs: list[int] = []
     for e in range(1, e_max + 1):

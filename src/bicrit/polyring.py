@@ -8,7 +8,10 @@ Provides
   integers in [0, p).  That makes every certificate reproducible bit for
   bit.  A :class:`FieldElem` computes with elements of its own field only;
   ``scale`` multiplies it by an integer.  GF(p)[x] is the int-list
-  ``_gfp_*`` helpers.
+  ``_gfp_*`` helpers, GF(p^e)[x] the FieldElem-list ``_fx_*`` helpers.
+* Roots in GF(p^e): :func:`frobenius_orbits` of a polynomial over GF(p),
+  by distinct-degree factorization and Cantor-Zassenhaus equal-degree
+  splitting, and :func:`common_roots` of two polynomials over GF(p^e).
 * :class:`UniPoly`, dense univariate polynomials over Q (lowest degree
   first): resultants, their content and their Newton polygons.
 * :class:`SparsePoly`, sparse polynomials in a fixed number of variables
@@ -17,9 +20,12 @@ Provides
   Two variables carry the (a, c) parameter plane, three the (a, c, gamma)
   counterexample checks.  A polynomial over GF(p) is evaluated at points
   of any GF(p^e).
-* Bivariate resultants over Q as Sylvester determinants: denominators
-  are cleared once, and fraction-free (Bareiss) elimination runs over
-  Z[x] on int coefficient lists, where every division is exact.
+* Bivariate resultants as Sylvester determinants, over Q
+  (:func:`bivariate_resultant`: denominators are cleared once) and over
+  GF(p) (:func:`resultant_mod`).  One fraction-free (Bareiss) kernel runs
+  over Z[x] or GF(p)[x] on int coefficient lists, where every division is
+  exact; a polynomial linear in the eliminated variable is substituted
+  into the other one instead.
 * p-adic Newton polygons with a root-valuation readout: a hull segment of
   slope -s and horizontal length L certifies exactly L roots of valuation
   s; vanishing at 0 is reported as roots of valuation INFINITY.
@@ -27,6 +33,7 @@ Provides
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -43,7 +50,10 @@ __all__ = [
     "SparsePoly",
     "UniPoly",
     "bivariate_resultant",
+    "common_roots",
+    "frobenius_orbits",
     "newton_polygon",
+    "resultant_mod",
 ]
 
 
@@ -51,9 +61,9 @@ __all__ = [
 # finite fields
 # ---------------------------------------------------------------------------
 
-# The characteristics shown prime so far.  Every GF(p^e) tests its p; a
-# SparsePoly over GF(p), built for each constant of every orbit step, tests
-# p only if no field or polynomial has shown it prime yet.
+# The characteristics shown prime so far.  A GF(p^e), or a SparsePoly over
+# GF(p) (built for each constant of every orbit step), tests p only if no
+# field or polynomial has shown it prime yet.
 _PRIMES: set[int] = set()
 
 
@@ -150,11 +160,11 @@ def _gfp_is_irreducible(f: list[int], p: int) -> bool:
 
 
 def _smallest_irreducible(p: int, e: int) -> tuple[int, ...]:
-    for lower in product(range(p), repeat=e):
+    # candidates in lexicographic order of (constant term, x-coefficient,
+    # ...), from constant term 1: with constant term 0 a candidate of degree
+    # e > 1 is divisible by x
+    for lower in product(range(1, p), *[range(p)] * (e - 1)):
         cand = list(lower) + [1]
-        if cand[0] == 0 and e > 1:
-            # divisible by x; cheap skip
-            continue
         if _gfp_is_irreducible(cand, p):
             return tuple(cand)
     raise ArithmeticError("no irreducible polynomial found")  # unreachable
@@ -168,9 +178,10 @@ class GF:
     """
 
     def __init__(self, p: int, e: int = 1):
-        if not is_prime(p):
-            raise DomainError(f"{p} is not prime")
-        _PRIMES.add(p)
+        if p not in _PRIMES:
+            if not is_prime(p):
+                raise DomainError(f"{p} is not prime")
+            _PRIMES.add(p)
         if e < 1:
             raise DomainError("extension degree must be >= 1")
         self.p = p
@@ -194,6 +205,20 @@ class GF:
         """All field elements, in a fixed order (base-p digits, low first)."""
         for digits in product(range(self.p), repeat=self.e):
             yield FieldElem(self, digits)
+
+    def orbits(self):
+        """(x, size) for one x of each orbit of x -> x^p on the nonzero
+        elements, the first in ``elements()`` order, and the orbit's size."""
+        seen = set()
+        for x in self.elements():
+            if x and x.coeffs not in seen:
+                orbit = [x.coeffs]
+                y = x**self.p
+                while y != x:
+                    orbit.append(y.coeffs)
+                    y = y**self.p
+                seen.update(orbit)
+                yield x, len(orbit)
 
     def __eq__(self, other):
         return isinstance(other, GF) and (self.p, self.e) == (other.p, other.e)
@@ -299,6 +324,160 @@ class FieldElem:
         if self.field.e == 1:
             return f"{self.coeffs[0]}"
         return f"{list(self.coeffs)}"
+
+
+# -- GF(p^e)[x] on lists of FieldElem (lowest degree first, trimmed) -------
+
+
+def _fx_trim(a: list) -> list:
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _fx_sub(a, b, field):
+    out = list(a) + [field.zero] * (len(b) - len(a))
+    for i, c in enumerate(b):
+        out[i] = out[i] - c
+    return _fx_trim(out)
+
+
+def _fx_mul(a, b, field):
+    if not a or not b:
+        return []
+    out = [field.zero] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                if y:
+                    out[j] = out[j] + x * y
+    return _fx_trim(out)
+
+
+def _fx_divmod(a, b):
+    """(quotient, remainder) for a nonzero divisor b."""
+    inv = b[-1].inverse()
+    a = list(a)
+    q = [inv.field.zero] * max(0, len(a) - len(b) + 1)
+    while len(a) >= len(b):
+        c = a[-1] * inv
+        shift = len(a) - len(b)
+        q[shift] = c
+        for i, y in enumerate(b[:-1], shift):
+            if y:
+                a[i] = a[i] - c * y
+        a.pop()
+        _fx_trim(a)
+    return q, a
+
+
+def _fx_gcd(a, b):
+    """The monic gcd ([] when both are zero)."""
+    while b:
+        a, b = b, _fx_divmod(a, b)[1]
+    if a:
+        inv = a[-1].inverse()
+        a = [c * inv for c in a]
+    return a
+
+
+def _fx_powmod(base, n: int, modulus, field):
+    result = [field.one]
+    base = _fx_divmod(base, modulus)[1]
+    while n:
+        if n & 1:
+            result = _fx_divmod(_fx_mul(result, base, field), modulus)[1]
+        n >>= 1
+        if n:
+            base = _fx_divmod(_fx_mul(base, base, field), modulus)[1]
+    return result
+
+
+def _fx_split(f, degree: int, field, rng: random.Random):
+    """A proper monic factor of a monic f over ``field`` = GF(q) that is a
+    product of distinct irreducible factors of one ``degree``, by the
+    equal-degree split of Cantor and Zassenhaus (1981): for a random r,
+    gcd(f, r^((q^degree - 1)/2) - 1), or for q = 2^e the trace map,
+    gcd(f, r + r^2 + r^4 + ... + r^(2^(e*degree - 1))).  Each draw splits
+    f with probability about 1/2, and any proper factor will do: the
+    callers' results do not depend on which one is found."""
+    while True:
+        r = _fx_trim([field.elem([rng.randrange(field.p) for _ in range(field.e)])
+                      for _ in range(len(f) - 1)])
+        if field.p == 2:
+            w = t = r
+            for _ in range(field.e * degree - 1):
+                t = _fx_divmod(_fx_mul(t, t, field), f)[1]
+                w = _fx_sub(w, t, field)  # + and - agree in characteristic 2
+        else:
+            w = _fx_powmod(r, (field.order**degree - 1) // 2, f, field)
+            w = _fx_sub(w, [field.one], field)
+        g = _fx_gcd(f, w)
+        if 1 < len(g) < len(f):
+            return g
+
+
+def _fx_factors(f, degree: int, field, rng: random.Random) -> list:
+    """The monic irreducible factors of f, a monic product of distinct
+    irreducibles of one ``degree`` over ``field``."""
+    if len(f) - 1 <= degree:
+        return [f] if len(f) > 1 else []
+    g = _fx_split(f, degree, field, rng)
+    return _fx_factors(g, degree, field, rng) + _fx_factors(
+        _fx_divmod(f, g)[0], degree, field, rng
+    )
+
+
+def frobenius_orbits(f: list[int], field: GF) -> list[tuple[FieldElem, int]]:
+    """The roots in ``field`` = GF(p^e) of f in GF(p)[x], one for each
+    Frobenius orbit: a root of each irreducible factor of f whose degree
+    divides e, with that degree.  The orbit is that root's images under
+    x -> x^p, and together the orbits hold each root in the field once.
+
+    gcd(f, x^(p^e) - x) keeps exactly those factors, once each, on int
+    lists; distinct-degree factorization groups them by degree and an
+    equal-degree split separates each group over GF(p).  A root of each
+    factor is then split off over GF(p^e), one linear factor at a time.
+    """
+    p, e = field.p, field.e
+    if len(f) < 2:
+        return []
+    rng = random.Random(0)
+    base = field if e == 1 else GF(p)
+    x = [0, 1]
+    t = x
+    for _ in range(e):
+        t = _gfp_powmod(t, p, f, p)
+    rest = _gfp_gcd(f, _gfp_sub(t, x, p), p)
+    orbits = []
+    t = x
+    for degree in range(1, e + 1):
+        if len(rest) < 2:
+            break
+        t = _gfp_powmod(t, p, rest, p)
+        group = _gfp_gcd(rest, _gfp_sub(t, x, p), p)
+        if len(group) < 2:
+            continue
+        rest = _gfp_divmod(rest, group, p)[0]
+        for phi in _fx_factors([base.elem(c) for c in group], degree, base, rng):
+            phi = [field.elem(c.coeffs) for c in phi]
+            while len(phi) > 2:
+                g = _fx_split(phi, 1, field, rng)
+                phi = min(g, _fx_divmod(phi, g)[0], key=len)
+            orbits.append((-phi[0], degree))
+    return orbits
+
+
+def common_roots(f: list, g: list, field: GF) -> list[FieldElem]:
+    """The distinct common roots in ``field`` = GF(q) of f and g in
+    GF(q)[x] (lists of FieldElem, lowest degree first): the linear factors
+    of gcd(f, g, x^q - x), split off by Cantor and Zassenhaus."""
+    h = _fx_gcd(_fx_trim(list(f)), _fx_trim(list(g)))
+    if len(h) < 2:
+        return []
+    x = [field.zero, field.one]
+    h = _fx_gcd(h, _fx_sub(_fx_powmod(x, field.order, h, field), x, field))
+    return [-phi[0] for phi in _fx_factors(h, 1, field, random.Random(0))]
 
 
 # ---------------------------------------------------------------------------
@@ -475,51 +654,60 @@ def _sylvester_rows(f_coeffs, g_coeffs, zero):
     return rows
 
 
-def _zx_mul_sub(a, p, b, q):
-    """a*p - b*q in Z[x], on int lists (lowest degree first, trimmed)."""
-    out = [0] * max(len(a) + len(p), len(b) + len(q), 1)
-    for x, y, s in ((a, p, 1), (b, q, -1)):
+def _zx_mul_sub(a, b, c, d, mod=None):
+    """a*b - c*d in Z[x], or in GF(mod)[x], on int lists (lowest degree
+    first, trimmed)."""
+    out = [0] * max(len(a) + len(b), len(c) + len(d), 1)
+    for x, y, s in ((a, b, 1), (c, d, -1)):
         if not y:
             continue
-        for i, c in enumerate(x):
-            if c:
-                c *= s
-                for j, v in enumerate(y, i):
-                    out[j] += c * v
+        for i, v in enumerate(x):
+            if v:
+                v *= s
+                for j, w in enumerate(y, i):
+                    out[j] += v * w
+    if mod is not None:
+        out = [v % mod for v in out]
     while out and not out[-1]:
         out.pop()
     return out
 
 
-def _zx_exact_div(t, d):
-    """t / d in Z[x] for a nonzero d; DomainError unless the division is exact.
+def _zx_exact_div(t, d, mod=None):
+    """t / d in Z[x] (or GF(mod)[x]) for a nonzero d; DomainError unless the
+    division is exact.
 
     Long division from the top, overwriting t: each quotient coefficient is
-    an exact ``divmod`` by d's leading coefficient, and the remainder must
-    vanish.
+    an exact ``divmod`` by d's leading coefficient (a product with its
+    inverse mod ``mod``), and the remainder must vanish.
     """
     if not t:
         return t
     lead = d[-1]
+    inv = None if mod is None else pow(lead, -1, mod)
     top = len(d) - 1
     q = [0] * (len(t) - top)
     if not q:
         raise DomainError("inexact division in Z[x]")
     for k in range(len(q) - 1, -1, -1):
-        c, rem = divmod(t[k + top], lead)
-        if rem:
-            raise DomainError("inexact division in Z[x]")
+        if mod is None:
+            c, rem = divmod(t[k + top], lead)
+            if rem:
+                raise DomainError("inexact division in Z[x]")
+        else:
+            c = t[k + top] * inv % mod
         if c:
             q[k] = c
             for j, v in enumerate(d, k):
                 t[j] -= c * v
-    if any(t[:top]):
+    if any(v if mod is None else v % mod for v in t[:top]):
         raise DomainError("inexact division in Z[x]")
     return q
 
 
-def _bareiss_zx(mat):
-    """Determinant of a square matrix over Z[x] (int-list entries).
+def _bareiss_zx(mat, mod=None):
+    """Determinant of a square matrix over Z[x], or over GF(mod)[x] (int-list
+    entries reduced mod ``mod``).
 
     Fraction-free (Bareiss) elimination: after step r every entry below
     and right of the pivot is a minor of the input, (M_ij * p_r - M_ir *
@@ -549,8 +737,8 @@ def _bareiss_zx(mat):
         s = since[r]
         if s < r - 1:
             for j in range(r, n):
-                t = _zx_mul_sub(top[j], pivots[r - 1], [], [])
-                top[j] = t if s < 0 else _zx_exact_div(t, pivots[s])
+                t = _zx_mul_sub(top[j], pivots[r - 1], [], [], mod)
+                top[j] = t if s < 0 else _zx_exact_div(t, pivots[s], mod)
         pivot = top[r]
         pivots.append(pivot)
         for i in range(r + 1, n):
@@ -560,11 +748,56 @@ def _bareiss_zx(mat):
                 continue
             s = since[i]
             for j in range(r + 1, n):
-                t = _zx_mul_sub(row[j], pivot, b, top[j])
-                row[j] = t if s < 0 else _zx_exact_div(t, pivots[s])
+                t = _zx_mul_sub(row[j], pivot, b, top[j], mod)
+                row[j] = t if s < 0 else _zx_exact_div(t, pivots[s], mod)
             since[i] = r
     det = pivots[-1]
-    return [-c for c in det] if sign < 0 else det
+    return _zx_neg(det, mod) if sign < 0 else det
+
+
+def _zx_neg(a, mod=None):
+    return [-c if mod is None else -c % mod for c in a]
+
+
+def _linear_resultant(fc, gc, mod=None):
+    """Res_x(F, G) for G = g1*x + g0, from coefficient rows in x: F at
+    x = -g0/g1 scaled by g1^(deg F), which is the Sylvester determinant
+    with F's rows on top,
+
+        Res_x(F, G) = sum_i f_i * g0^i * (-g1)^(deg F - i),
+
+    summed by Horner's rule in O(deg F) polynomial products.
+    """
+    (g0, g1), acc, w = gc, fc[-1], [-1]
+    for f in reversed(fc[:-1]):
+        w = _zx_mul_sub([], [], w, g1, mod)  # -(-g1)^(deg F - i)
+        acc = _zx_mul_sub(acc, g0, f, w, mod)
+    return acc
+
+
+def _resultant_rows(fc, gc, mod=None):
+    """Res_x(F, G) over Z[y] (or GF(mod)[y]) from the coefficient rows of F
+    and G in x: the Sylvester determinant with F's rows on top.
+
+    A polynomial linear in x is substituted into the other one.  Otherwise
+    the determinant is taken by Bareiss elimination; across the top rows
+    the pivots are powers of their polynomial's leading coefficient in x, so
+    the one whose leading coefficient has the lower degree goes on top.
+    Swapping F and G multiplies the resultant by (-1)^(deg F * deg G).
+    """
+    df, dg = len(fc) - 1, len(gc) - 1
+    if df + dg == 0:
+        return [1]
+    if dg == 1:
+        return _linear_resultant(fc, gc, mod)
+    swap = df == 1 or len(gc[-1]) < len(fc[-1])
+    if df == 1:
+        det = _linear_resultant(gc, fc, mod)
+    elif swap:
+        det = _bareiss_zx(_sylvester_rows(gc, fc, []), mod)
+    else:
+        det = _bareiss_zx(_sylvester_rows(fc, gc, []), mod)
+    return _zx_neg(det, mod) if swap and df * dg % 2 else det
 
 
 def _integer_rows(F: "SparsePoly", eliminate: int) -> tuple[int, list[list[int]]]:
@@ -589,30 +822,33 @@ def bivariate_resultant(F: "SparsePoly", G: "SparsePoly", eliminate: int) -> Uni
 
     The denominators are cleared first, by
     Res_x(lam*F, mu*G) = lam^(deg_x G) * mu^(deg_x F) * Res_x(F, G), so the
-    Sylvester determinant is taken over Z[y] and divided by that scale once.
+    resultant is taken over Z[y] and divided by that scale once.
     """
+    _check_pair(F, G, None)
+    lam, fc = _integer_rows(F, eliminate)
+    mu, gc = _integer_rows(G, eliminate)
+    scale = lam ** (len(gc) - 1) * mu ** (len(fc) - 1)
+    return UniPoly(Fraction(c, scale) for c in _resultant_rows(fc, gc))
+
+
+def resultant_mod(F: "SparsePoly", G: "SparsePoly", eliminate: int) -> list[int]:
+    """Resultant over GF(p) of two 2-variable polynomials over GF(p) with
+    respect to one variable: an int list in the kept variable, lowest
+    degree first, reduced mod p and trimmed ([] for zero)."""
+    if F.p is None:
+        raise DomainError("resultant_mod needs polynomials over GF(p)")
+    _check_pair(F, G, F.p)
+    return _resultant_rows(_integer_rows(F, eliminate)[1], _integer_rows(G, eliminate)[1], F.p)
+
+
+def _check_pair(F: "SparsePoly", G: "SparsePoly", p: int | None) -> None:
     if F.nvars != 2 or G.nvars != 2:
         raise DomainError("bivariate resultant needs two-variable polynomials")
     if not F or not G:
         raise DomainError("resultant of the zero polynomial")
-    if F.p is not None or G.p is not None:
-        raise DomainError("bivariate resultant needs rational coefficients")
-    lam, fc = _integer_rows(F, eliminate)
-    mu, gc = _integer_rows(G, eliminate)
-    df, dg = len(fc) - 1, len(gc) - 1
-    if df + dg == 0:
-        return UniPoly((1,))
-    # Across the top rows the pivots are powers of their polynomial's leading
-    # coefficient in x, so the one whose leading coefficient has the lower
-    # degree goes on top; Res(G, F) = (-1)^(df*dg) Res(F, G)
-    if len(gc[-1]) < len(fc[-1]):
-        det = _bareiss_zx(_sylvester_rows(gc, fc, []))
-        if df * dg % 2:
-            det = [-c for c in det]
-    else:
-        det = _bareiss_zx(_sylvester_rows(fc, gc, []))
-    scale = lam**dg * mu**df
-    return UniPoly(Fraction(c, scale) for c in det)
+    if F.p != p or G.p != p:
+        domain = "rational coefficients" if p is None else f"coefficients in GF({p})"
+        raise DomainError(f"bivariate resultant needs {domain}")
 
 
 # ---------------------------------------------------------------------------
@@ -864,6 +1100,23 @@ class SparsePoly:
                     mono = v**e if mono is None else mono * v**e
             acc = acc + (field.one if mono is None else mono).scale(c)
         return acc
+
+    def specialize(self, var: int, value: FieldElem) -> list[FieldElem]:
+        """For a two-variable polynomial over GF(p), the polynomial in the
+        other variable left when ``var`` is set to a point of GF(p^e): its
+        coefficients in GF(p^e), lowest degree first, trimmed."""
+        field = getattr(value, "field", None)
+        if self.nvars != 2 or not isinstance(value, FieldElem) or field.p != self.p:
+            raise DomainError(f"{self!r} cannot be specialized at {value!r}")
+        keep = 1 - var
+        out = [field.zero] * (self.degree(keep) + 1)
+        powers: dict[int, FieldElem] = {}
+        for exps, c in self.terms.items():
+            e = exps[var]
+            if e not in powers:
+                powers[e] = value**e
+            out[exps[keep]] = out[exps[keep]] + powers[e].scale(c)
+        return _fx_trim(out)
 
     def __repr__(self):
         return f"SparsePoly({self.nvars}, {self.terms!r}, p={self.p})"

@@ -11,6 +11,7 @@ import bicrit.pcf
 from bicrit.arith import DETERMINISTIC_PRIME_BOUND
 from bicrit.cli import main
 from bicrit.idf import SCAN_DMAX_LIMIT
+from util import dual_orbit_solutions
 
 # two ~60-bit primes: Brent's rho would need about 2^30 steps to split P * Q
 P, Q = 576460752303435851, 1152921504606945751
@@ -121,13 +122,34 @@ class TestExitCodes:
         assert out == ""
         assert "GF(3), GF(3^2)" in err
 
-    def test_transversality_over_budget_refused_before_enumerating(self, capsys):
-        # GF(3^1) .. GF(3^5) took about 5 s before GF(3^6) was refused
+    def test_transversality_large_emax_refused_at_once(self, capsys):
+        # the modulus of GF(3^1000) alone would take hours to find
         start = time.perf_counter()
-        argv = "pcf transversality --d 3 --k 1 --n 2 --m 1 --emax 6 --budget 100000"
+        argv = "pcf transversality --d 3 --k 1 --n 2 --m 1 --emax 1000"
         assert main(argv.split()) == 2
         assert time.perf_counter() - start < 1
-        assert "GF(3^6)" in capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "predicted field work 1.00e+19" in err
+        assert f"limit {bicrit.pcf.FIELD_WORK_LIMIT:.0e}" in err
+
+    def test_transversality_budget_is_the_monomial_cap(self, capsys):
+        # exited 2 when --budget capped the p^(2e) points: 3^12 > 100000
+        start = time.perf_counter()
+        code, rep = run_json(
+            capsys, *"pcf transversality --d 3 --k 1 --n 2 --m 1 --emax 6 --budget 100000".split()
+        )
+        assert time.perf_counter() - start < 1
+        assert code == 0 and rep["verdict"] == "PASS"
+        assert rep["inputs"]["budget"] == "100000"
+        for e, res in enumerate(rep["result"]["per_field"][:4], 1):
+            field = bicrit.GF(3, e)
+            want = dual_orbit_solutions(3, 1, 2, 1, field)
+            got = [[s["alpha"], s["beta"], s["jacobian"]] for s in res["solutions"]]
+            assert got == [[[str(c) for c in x.coeffs] for x in sol] for sol in want]
+            assert res["excluded_alpha_zero"] == "0"
+        assert main("pcf transversality --d 3 --k 1 --n 7 --m 1 --budget 100".split()) == 2
+        assert "exceeds the budget 100" in capsys.readouterr().err
 
     def test_integrality_refuses_predicted_elimination_work(self, capsys):
         # passes the monomial budget, but the resultants would run for minutes

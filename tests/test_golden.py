@@ -1,7 +1,8 @@
 """Byte-for-byte guard on the CLI reports.
 
-Every README command, plus one integrality FAIL, is pinned by its exit
-code and the sha256 of its stdout.  Only the ``elapsed_us`` timing is
+Every README command, plus one integrality FAIL and the transversality
+cases of the benchmark, is pinned by its exit code and the sha256 of its
+stdout.  Only the ``elapsed_us`` timing is
 masked before hashing; every other byte of the report must stay the same.
 """
 
@@ -39,6 +40,28 @@ GOLDEN = [
      "dad5a1a2f235cb32d8c3cc8bb7dd0cb62012c57a4fc1ba77d2f8b3fa31f97754"),
     ("pcf integrality --d 9 --k 3 --n 1 --m 2", 1,
      "7439ad3389e086edaaf5e34b622876f2a2b9b5a19d8fd4a680c570ba8ef7c7ce"),
+    # the ten transversality slots of the pcf benchmark workload
+    # (perfbench/workloads.py), run with its --budget
+    ("pcf transversality --d 3 --k 1 --n 3 --m 2 --emax 3 --budget 1000000", 0,
+     "3d331012d31fd4ec121ea15894b0e78382668bda7fb5f3f5fc44c9ef9a0cf8b8"),
+    ("pcf transversality --d 7 --k 2 --n 2 --m 2 --emax 2 --budget 1000000", 0,
+     "a2370e4687b47905d65422e257b9c28d42220eeb6dc1ae8b8415f649614e2c02"),
+    ("pcf transversality --d 5 --k 2 --n 1 --m 2 --emax 3 --budget 1000000", 0,
+     "c8ad61ebe49e10509663d96ee6feaff0732cc40106d3af4d50cc0622aa3e1c1f"),
+    ("pcf transversality --d 11 --k 4 --n 1 --m 2 --emax 2 --budget 1000000", 0,
+     "58ccb24c08a146b24bba524c6678c15df966c79fcbaeb00b48b13dc809e0f07a"),
+    ("pcf transversality --d 13 --k 6 --n 1 --m 1 --emax 2 --budget 1000000", 0,
+     "f4f1f39156c35c7daa10453d19fcb5465d943e7fbd1f0b93051857a530c4e47f"),
+    ("pcf transversality --d 4 --k 1 --n 2 --m 2 --emax 6 --budget 1000000", 0,
+     "f558d3c63bf86d622267e59461663f7f8c543ee83bc53fc10144312867ca48f0"),
+    ("pcf transversality --d 6 --k 1 --n 2 --m 2 --emax 6 --budget 1000000", 0,
+     "15904658ca347a98bcda554cb6f7233f15821b06aaefe3ad3f8c38df4566ee08"),
+    ("pcf transversality --d 8 --k 1 --n 2 --m 2 --emax 6 --budget 1000000", 0,
+     "038163b2859b31ede37b65c8fa7f4d67f394630a5e68ea91b411cfbb4a868e53"),
+    ("pcf transversality --d 5 --k 1 --n 2 --m 1 --emax 3 --budget 1000000", 0,
+     "c3f99f086a6b87d1feb9fe4f904b40d3158adcd9ae8b1c7ac3a3fbf0e7aa8731"),
+    ("pcf transversality --d 9 --k 2 --n 2 --m 2 --emax 4 --budget 1000000", 0,
+     "2c9ca0dad71a5e70826dba8789663bb22411029de4ca80a6f0fef3d5d0c44da3"),
 ]
 
 

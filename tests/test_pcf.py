@@ -132,9 +132,11 @@ class TestIntegralityCertificate:
             integrality_certificate(9, 3, 2, 3)
         assert time.perf_counter() - start < 5
 
-    @pytest.mark.parametrize("case", [(3, 1, 3, 3), (4, 1, 3, 2)])
+    @pytest.mark.parametrize("case", [(3, 1, 3, 3), (4, 1, 3, 2), (9, 1, 4, 1)])
     def test_answers_within_seconds(self, case):
-        # n + m = 6 was refused outright; (4, 1, 3, 2) took over 10 s
+        # n + m = 6 was refused outright; (4, 1, 3, 2) took over 10 s;
+        # (9, 1, 4, 1), linear in a and in c, was refused on predicted
+        # Bareiss work and took 12.5 s past the limit
         start = time.perf_counter()
         cert = integrality_certificate(*case)
         assert time.perf_counter() - start < 5
@@ -204,27 +206,84 @@ class TestSolveMod:
         assert lifted <= got
         assert all(s.jacobian_value for s in ext.solutions)
 
-    def test_budget(self):
+    def test_orbit_monomials_are_capped(self):
+        # F_7 has degree 3^6 = 729 in c: over a budget of 100, under 729
         w = find_idf_prime(3, 1)
-        with pytest.raises(ResourceBudgetError):
-            solve_mod(3, 1, 1, 1, w, 9, budget=100)
+        with pytest.raises(ResourceBudgetError, match="exceeds the budget 100"):
+            solve_mod(3, 1, 7, 1, w, 1, budget=100)
+        assert solve_mod(3, 1, 7, 1, w, 1, budget=729).solutions
 
     @settings(max_examples=30, deadline=None)
     @given(
         dk=st.sampled_from([(3, 1), (4, 1), (5, 1), (5, 2), (6, 1), (7, 2), (8, 2), (9, 2)]),
         n=st.integers(1, 3),
         m=st.integers(1, 3),
-        e=st.integers(1, 5),
+        e=st.integers(1, 6),
     )
     def test_matches_pointwise_iteration(self, dk, n, m, e):
-        # the locus built over GF(p) and evaluated in GF(p^e), against
-        # f iterated on every point of GF(p^e)^2 with dual numbers
+        # the common roots found by elimination, against f iterated on every
+        # point of GF(p^e)^2 with dual numbers
         d, k = dk
         w = find_idf_prime(d, k)
-        assume(w.p ** (2 * e) <= 2_500)
+        assume(w.p ** (2 * e) <= 10_000)
         res = solve_mod(d, k, n, m, w, e)
         got = [(s.alpha, s.beta, s.jacobian_value) for s in res.solutions]
         assert got == dual_orbit_solutions(d, k, n, m, res.field)
+
+    @pytest.mark.parametrize(
+        "case, e",
+        [((7, 2, 2, 2), 2), ((9, 2, 2, 2), 4), ((4, 1, 2, 2), 6), ((6, 1, 2, 2), 6),
+         ((8, 1, 2, 2), 6)],
+    )
+    def test_shared_alpha_shapes_match_pointwise_iteration(self, case, e):
+        # several beta above one alpha: (9,2,2,2) has 90 solutions over
+        # GF(3^4) on 10 values of alpha, (7,2,2,2) 56 over GF(7^2) on 8
+        w = find_idf_prime(*case[:2])
+        res = solve_mod(*case, w, e)
+        got = [(s.alpha, s.beta, s.jacobian_value) for s in res.solutions]
+        assert got == dual_orbit_solutions(*case, res.field)
+        assert len({s.alpha for s in res.solutions}) < len(got)
+
+    @pytest.mark.parametrize(
+        "case, e", [((3, 1, 3, 2), 3), ((9, 2, 2, 2), 4), ((6, 1, 2, 2), 6), ((13, 6, 1, 1), 2)]
+    )
+    def test_orbit_scan_agrees_with_elimination(self, monkeypatch, case, e):
+        # past ELIMINATION_WORK_LIMIT one alpha of every Frobenius orbit is
+        # tried instead of the roots of R; with the limit at 0 every shape
+        # takes that route
+        w = find_idf_prime(*case[:2])
+        eliminated = solve_mod(*case, w, e)
+        monkeypatch.setattr(bicrit.pcf, "ELIMINATION_WORK_LIMIT", 0)
+        monkeypatch.setattr(bicrit.pcf, "resultant_mod", None)
+        assert solve_mod(*case, w, e) == eliminated
+
+    def test_alpha_zero_is_never_a_solution(self):
+        # f_{0,c} is the constant c, so F_n(0, c) = c and G_m(0, c) = c - 1
+        # for every n, m >= 1: excluded_alpha_zero is 0 by construction
+        for d in range(3, 10):
+            for k in range(1, (d - 1) // 2 + 1):
+                w = find_idf_prime(d, k)
+                if w is None:
+                    continue
+                for n in (1, 2, 3):
+                    for which, want in ((0, {(0, 1): 1}), (1, {(0, 1): 1, (0, 0): -1})):
+                        poly = critical_orbit_poly(d, k, which, n, p=w.p).poly
+                        at_zero = {e: c for e, c in poly.terms.items() if e[A] == 0}
+                        assert SparsePoly(2, at_zero, w.p) == sp(want, w.p), (d, k, which, n)
+
+    def test_shared_component_is_a_usage_error(self, monkeypatch):
+        # R = Res_c(F, G) identically 0 mod p: no real input is known to do
+        # this, so the orbit builder is replaced by curves sharing c - a
+        real = bicrit.pcf.critical_orbit_poly
+
+        def sharing(d, k, which, n, budget=10_000, p=None):
+            orbit = real(d, k, which, n, budget, p)
+            common = sp({(0, 1): 1, (1, 0): -1}, p)
+            return type(orbit)(d, k, which, n, orbit.poly * common)
+
+        monkeypatch.setattr(bicrit.pcf, "critical_orbit_poly", sharing)
+        with pytest.raises(DomainError, match="share a component"):
+            solve_mod(3, 1, 2, 1, find_idf_prime(3, 1), 1)
 
 
 class TestTransversality:
@@ -258,13 +317,34 @@ class TestTransversality:
         with pytest.raises(UnsupportedParametersError):
             transversality_check(27, 3, 1, 1)
 
-    def test_largest_field_is_held_to_the_budget_first(self, monkeypatch):
-        def no_enumeration(*args, **kwargs):
-            raise AssertionError("a field was enumerated")
+    def test_large_emax_refused_before_any_field(self, monkeypatch):
+        def no_field(*args, **kwargs):
+            raise AssertionError("a field was built")
 
-        monkeypatch.setattr(bicrit.pcf, "solve_mod", no_enumeration)
-        with pytest.raises(ResourceBudgetError, match=r"GF\(3\^6\)\^2"):
-            transversality_check(3, 1, 2, 1, e_max=6, budget=100_000)
+        monkeypatch.setattr(bicrit.pcf, "solve_mod", no_field)
+        monkeypatch.setattr(bicrit.pcf, "GF", no_field)
+        start = time.perf_counter()
+        with pytest.raises(ResourceBudgetError, match="predicted field work"):
+            transversality_check(3, 1, 2, 1, e_max=1000)
+        assert time.perf_counter() - start < 1
+
+    def test_speed_and_reach(self):
+        # enumeration took 0.8-1.1 s on (5,1,2,1) up to GF(5^3), and could
+        # not reach GF(2^11): 2^22 points for that field alone
+        start = time.perf_counter()
+        assert transversality_check(5, 1, 2, 1, e_max=3).verdict == "PASS"
+        assert time.perf_counter() - start < 0.5
+        start = time.perf_counter()
+        rep = transversality_check(6, 1, 2, 2, e_max=11)
+        assert time.perf_counter() - start < 5
+        assert rep.verdict == "PASS"
+        F = critical_orbit_poly(6, 1, 0, 2, p=2).poly
+        G = critical_orbit_poly(6, 1, 1, 2, p=2).poly
+        for res in rep.per_field:
+            points = [(s.alpha, s.beta) for s in res.solutions]
+            assert len(set(points)) == len(points)
+            for point in points:
+                assert not F.evaluate(point) and not G.evaluate(point)
 
     def test_no_solution_is_not_a_pass(self, monkeypatch):
         # with no finite solution in any field, no Jacobian was checked

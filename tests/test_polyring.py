@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bicrit.arith import ExtVal, INFINITY, val_p
@@ -16,7 +16,10 @@ from bicrit.polyring import (
     _bareiss_zx,
     _zx_exact_div,
     bivariate_resultant,
+    common_roots,
+    frobenius_orbits,
     newton_polygon,
+    resultant_mod,
 )
 from util import (
     exact_div,
@@ -246,6 +249,52 @@ class TestBivariateResultant:
         F = sp({(1, 0): 1}, p=5)
         with pytest.raises(DomainError):
             bivariate_resultant(F, F, 0)
+        with pytest.raises(DomainError):
+            resultant_mod(sp({(1, 0): 1}), sp({(1, 0): 1}), 0)
+        with pytest.raises(DomainError):
+            resultant_mod(F, sp({(1, 0): 1}, p=7), 0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        F=two_var_polys(max_x=4),
+        g1=two_var_polys(max_x=0),
+        g0=two_var_polys(max_x=0),
+        eliminate=st.sampled_from((0, 1)),
+        linear_first=st.booleans(),
+    )
+    def test_linear_substitution_matches_fraction_oracle(self, F, g1, g0, eliminate, linear_first):
+        # G = g1*x + g0 is substituted into F, on either side; the sign of
+        # Res(G, F) = (-1)^(deg F) Res(F, G) reaches the reports
+        x = sp({(1, 0) if eliminate == 0 else (0, 1): 1})
+        if eliminate == 1:
+            g1, g0 = _swap_vars(g1), _swap_vars(g0)
+        G = g1 * x + g0
+        pair = (G, F) if linear_first else (F, G)
+        assert bivariate_resultant(*pair, eliminate) == fraction_bivariate_resultant(
+            *pair, eliminate
+        )
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), p=st.sampled_from((2, 3, 5, 7)), eliminate=st.sampled_from((0, 1)))
+    def test_mod_p_is_reduction(self, data, p, eliminate):
+        # the Sylvester determinant commutes with reduction mod p when the
+        # degrees in the eliminated variable survive it; linear inputs take
+        # the substitution route, the others Bareiss over GF(p)[y]
+        F = data.draw(reducible_polys(p))
+        G = data.draw(reducible_polys(p))
+        Fp, Gp = reduce_poly(F, p), reduce_poly(G, p)
+        assume(Fp and Gp)
+        assume(Fp.degree(eliminate) == F.degree(eliminate))
+        assume(Gp.degree(eliminate) == G.degree(eliminate))
+        want = [reduce_coeff(c, GF(p)).coeffs[0] for c in
+                fraction_bivariate_resultant(F, G, eliminate).coeffs]
+        while want and not want[-1]:
+            want.pop()
+        assert resultant_mod(Fp, Gp, eliminate) == want
+
+
+def _swap_vars(P):
+    return SparsePoly(2, {(j, i): c for (i, j), c in P.terms.items()}, P.p)
 
 
 def _specialize_a(P, a0):
@@ -353,6 +402,15 @@ class TestFiniteFields:
             a, b, c = els[1], els[-1], els[len(els) // 2]
             assert a * (b + c) == a * b + a * c
 
+    def test_orbits_partition_the_nonzero_elements(self):
+        # GF(2^6)*: orbits of sizes 1, 2, 3, 3 and nine of size 6
+        field = GF(2, 6)
+        orbits = list(field.orbits())
+        assert sorted(size for _, size in orbits) == [1, 2, 3, 3] + [6] * 9
+        members = [(x ** (2**i)).coeffs for x, size in orbits for i in range(size)]
+        assert sorted(members) == [x.coeffs for x in field.elements() if x]
+        assert [x.coeffs for x, _ in orbits] == sorted(x.coeffs for x, _ in orbits)
+
     def test_scale_is_the_product_with_the_integer(self):
         F9 = GF(3, 2)
         for x in F9.elements():
@@ -376,6 +434,83 @@ class TestFiniteFields:
             with pytest.raises(TypeError):
                 x == other
         assert x * F7.elem(5) == F7.one and x != F7.one
+
+
+def _mul(a, b, field):
+    out = [field.zero] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return out
+
+
+def _poly_value(coeffs, x, field):
+    acc = field.zero
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+class TestRootFinding:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.data(),
+        pe=st.sampled_from(((2, 1), (2, 3), (2, 6), (3, 1), (3, 2), (3, 4), (5, 2), (7, 1))),
+    )
+    def test_frobenius_orbits_hold_every_root_once(self, data, pe):
+        p, e = pe
+        field = GF(p, e)
+        f = data.draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=14))
+        while f and not f[-1]:
+            f.pop()
+        assume(len(f) > 1)
+        orbits = frobenius_orbits(f, field)
+        got = []
+        for alpha, size in orbits:
+            assert e % size == 0
+            images = [alpha ** (p**i) for i in range(size)]
+            assert alpha ** (p**size) == alpha and len(set(images)) == size
+            got += images
+        lifted = [field.elem(c) for c in f]
+        want = [x for x in field.elements() if not _poly_value(lifted, x, field)]
+        assert sorted(x.coeffs for x in got) == [x.coeffs for x in want]
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), pe=st.sampled_from(((2, 1), (2, 4), (3, 1), (3, 3), (5, 2), (13, 1))))
+    def test_common_roots_match_enumeration(self, data, pe):
+        field = GF(*pe)
+        elements = list(field.elements())
+        draw = st.lists(st.sampled_from(elements), max_size=5)
+        shared, f_only, g_only = data.draw(draw), data.draw(draw), data.draw(draw)
+
+        def product_of(roots, extra):
+            out = [field.one]
+            for r in roots:
+                out = [field.zero] + out  # times x
+                for i in range(len(out) - 1):
+                    out[i] = out[i] - r * out[i + 1]
+            return [c * extra for c in out]
+
+        # a quadratic with no root in the field, a factor of f and g alike
+        quad = next(
+            [b, a, field.one] for a in elements for b in elements
+            if all(_poly_value([b, a, field.one], x, field) for x in elements)
+        )
+        extra = data.draw(st.sampled_from(elements[1:]))
+        f = product_of(shared + f_only + shared, extra)  # repeated roots
+        g = product_of(shared + g_only, field.one)
+        got = common_roots(_mul(f, quad, field), _mul(g, quad, field), field)
+        want = [x for x in elements
+                if not _poly_value(f, x, field) and not _poly_value(g, x, field)]
+        assert sorted(x.coeffs for x in got) == [x.coeffs for x in want]
+
+    def test_no_common_root(self):
+        F9 = GF(3, 2)
+        x2_plus_1 = [F9.one, F9.zero, F9.one]  # its roots are in GF(9), not GF(3)
+        F3 = GF(3)
+        assert common_roots([F3.one, F3.zero, F3.one], [F3.one, F3.zero, F3.one], F3) == []
+        assert len(common_roots(x2_plus_1, x2_plus_1, F9)) == 2
+        assert common_roots(x2_plus_1, [F9.one], F9) == []
 
 
 class TestSparsePoly:

@@ -58,12 +58,21 @@ def dual_orbit_solutions(d, k, n, m, field):
     with alpha != 0, in the order of ``field.elements()``.
 
     No polynomial in (a, c) is formed: f = alpha*B(z) + beta is iterated
-    on each point with dual numbers (z, dz/da, dz/dc), and
-    J = F_a * G_c - G_a * F_c is read off the derivatives.
+    on each point, and at the roots of F_n again with dual numbers
+    (z, dz/da, dz/dc), from which J = F_a * G_c - G_a * F_c is read off.
     """
     dense = [field.zero] * (d + 1)
     for i, b in enumerate(belyi_coeffs(d, k).coeffs):
         dense[d - i] = field.elem(b)
+
+    def value(alpha, beta, steps):
+        z = field.zero
+        for _ in range(steps):
+            val = field.zero
+            for coeff in reversed(dense):  # Horner for B(z)
+                val = val * z + coeff
+            z = alpha * val + beta
+        return z
 
     def orbit(alpha, beta, start, steps):
         z, za, zc = field.elem(start), field.zero, field.zero
@@ -81,10 +90,14 @@ def dual_orbit_solutions(d, k, n, m, field):
 
     out = []
     for alpha in field.elements():
+        if not alpha:
+            continue
         for beta in field.elements():
+            if value(alpha, beta, n):
+                continue
             F, F_a, F_c = orbit(alpha, beta, 0, n)
             G, G_a, G_c = orbit(alpha, beta, 1, m)
-            if not F and G == field.one and alpha:
+            if not F and G == field.one:
                 out.append((alpha, beta, F_a * G_c - G_a * F_c))
     return out
 
