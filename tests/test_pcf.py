@@ -273,7 +273,7 @@ class TestSolveMod:
 
     def test_shared_component_is_a_usage_error(self, monkeypatch):
         # R = Res_c(F, G) identically 0 mod p: no real input is known to do
-        # this, so the orbit builder is replaced by curves sharing c - a
+        # this, so critical_orbit_poly is replaced by curves sharing c - a
         real = bicrit.pcf.critical_orbit_poly
 
         def sharing(d, k, which, n, budget=10_000, p=None):
