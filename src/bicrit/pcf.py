@@ -237,33 +237,52 @@ def jacobian(F: SparsePoly, G: SparsePoly) -> SparsePoly:
 
 def _field_work(d: int, witness: IdfWitness, n: int, m: int, e: int) -> tuple[int, bool]:
     """Predicted cost of solve_mod over GF(p^e), from degrees alone, and
-    whether it eliminates.
+    whether eliminating is cheaper than scanning the Frobenius orbits.
 
     Mod p the orbit step is a*s*z^N + c with N = d - r, so deg_c F_n =
     N^(n-1) and deg_a F_n = 1 + N + ... + N^(n-2), and G_m has one more
-    power of N in a; D, the Bezout bound on deg R, follows, and so does the
-    predicted work of Res_c over GF(p), priced as in _elimination_work.
-    Building the smallest irreducible modulus takes about e Rabin tests of
-    e log p products of degree-e polynomials, and splitting off a root of a
-    degree-e factor takes e log p products over GF(p^e): e^5 log p in all.
-    Eliminating adds R and a^(p^e) mod R, e log p products of degree-D
-    polynomials.  Where R alone would pass ELIMINATION_WORK_LIMIT, one alpha
-    of each of the p^e / e Frobenius orbits of GF(p^e) is tried instead, at
-    the cost of a gcd of degree-deg_c polynomials over GF(p^e) each.  One
-    step of a product in GF(p^e), a FieldElem operation, is priced at
-    _FIELD_STEP steps on int lists.
+    power of N in a; D, the Bezout bound on deg R, follows.  Both routes are
+    priced in steps on int lists, each step about 30 ns:
+
+    * eliminating: R = Res_c(F, G) over GF(p), then a^(p^e) mod R, e log p
+      products of degree-D polynomials.  With s = min(deg_c F, deg_c G) and
+      the Sylvester dimension S = deg_c F + deg_c G, R costs S*D when one
+      side is linear in c, S^2*D when N is a power of p (then F and G are
+      sums of a few p-th powers and the Bareiss entries stay sparse), and
+      s*S*D^2 otherwise.
+    * scanning: one alpha of each of the p^e / e Frobenius orbits of
+      GF(p^e)*, each a gcd of F(alpha, c) and G(alpha, c) over GF(p^e)
+      (deg_c F * deg_c G products), setting a = alpha (S) and x^(p^e) mod
+      the gcd (e log p), each product in GF(p^e) priced at _FIELD_STEP * e^2.
+
+    Both build the smallest irreducible modulus (about e Rabin tests of e
+    log p products of degree-e polynomials) and split off roots of degree-e
+    factors over GF(p^e): e^5 log p in all.  The constants are fitted to the
+    measured times of both routes, forced in turn, on the reduced shapes with
+    d <= 13 and n, m <= 4 (Python 3.11 on a 2-vCPU x86-64 VM).  Neither price
+    counts the work that grows with the number of solutions (splitting the
+    common roots off, a Jacobian at each), which both routes share.  Returns
+    the cheaper route's work.
     """
+    p = witness.p
     N = d - witness.r
     fc, fa = N ** (n - 1), sum(N**i for i in range(n - 1))
     gc, ga = N ** (m - 1), sum(N**i for i in range(m))
     D = fc * ga + gc * fa
     s, size = min(fc, gc), fc + gc
-    resultant = size * D if s == 1 else s * size * D**2
-    bits = witness.p.bit_length()
-    work = _FIELD_STEP * bits * e**5
-    if resultant <= ELIMINATION_WORK_LIMIT:
-        return work + resultant + bits * e * D**2, True
-    return work + _FIELD_STEP * witness.p**e * e * max(fc, gc) ** 2, False
+    t = N
+    while t % p == 0:
+        t //= p
+    if s == 1:
+        resultant = size * D
+    elif t == 1:
+        resultant = size * size * D
+    else:
+        resultant = s * size * D**2
+    bits = p.bit_length()
+    eliminate = resultant + bits * e * D**2
+    scan = _FIELD_STEP * p**e // e * e**2 * (fc * gc + 30 * size + 100 * e * bits)
+    return _FIELD_STEP * bits * e**5 + min(eliminate, scan), eliminate <= scan
 
 
 @dataclass(frozen=True)
@@ -299,11 +318,11 @@ def solve_mod(
     and G(alpha, c) have a common root.  One root alpha of each irreducible
     factor of R whose degree divides e gives the common roots beta in
     GF(p^e) of F(alpha, c) and G(alpha, c); the rest are their images under
-    (alpha, beta) -> (alpha^p, beta^p).  Where R is predicted to cost more
-    than ELIMINATION_WORK_LIMIT (high degrees, as for (8, 2, 3, 3), where
-    deg R reaches 1800), one alpha of every Frobenius orbit of GF(p^e)* is
-    tried instead.  No root has alpha = 0, where F = c and G = c - 1, so
-    ``excluded_alpha_zero`` is 0.
+    (alpha, beta) -> (alpha^p, beta^p).  Where _field_work predicts that
+    scanning costs less (a small field against a dense R of high degree, as
+    for (8, 2, 3, 3), where deg R reaches 1800), one alpha of every
+    Frobenius orbit of GF(p^e)* is tried instead.  No root has alpha = 0,
+    where F = c and G = c - 1, so ``excluded_alpha_zero`` is 0.
     """
     if not witness.holds_for(d, k):
         raise DomainError(f"{witness} is not an IDF witness for ({d}, {k})")

@@ -356,7 +356,8 @@ def _fx_mul(a, b, field):
 
 def _fx_divmod(a, b):
     """(quotient, remainder) for a nonzero divisor b."""
-    inv = b[-1].inverse()
+    one = b[-1].field.one
+    inv = one if b[-1] == one else b[-1].inverse()  # most divisors are monic
     a = list(a)
     q = [inv.field.zero] * max(0, len(a) - len(b) + 1)
     while len(a) >= len(b):
@@ -393,39 +394,60 @@ def _fx_powmod(base, n: int, modulus, field):
     return result
 
 
-def _fx_split(f, degree: int, field, rng: random.Random):
+def _fx_split(f, field, rng: random.Random):
     """A proper monic factor of a monic f over ``field`` = GF(q) that is a
-    product of distinct irreducible factors of one ``degree``, by the
-    equal-degree split of Cantor and Zassenhaus (1981): for a random r,
-    gcd(f, r^((q^degree - 1)/2) - 1), or for q = 2^e the trace map,
-    gcd(f, r + r^2 + r^4 + ... + r^(2^(e*degree - 1))).  Each draw splits
-    f with probability about 1/2, and any proper factor will do: the
-    callers' results do not depend on which one is found."""
+    product of distinct linear factors, by the equal-degree split of
+    Cantor and Zassenhaus (1981): for a random r, gcd(f, r^((q - 1)/2) - 1),
+    or for q = 2^e the trace map, gcd(f, r + r^2 + r^4 + ... + r^(2^(e-1))).
+    Each draw splits f with probability about 1/2, and any proper factor
+    will do: the callers' results do not depend on which one is found."""
     while True:
         r = _fx_trim([field.elem([rng.randrange(field.p) for _ in range(field.e)])
                       for _ in range(len(f) - 1)])
         if field.p == 2:
             w = t = r
-            for _ in range(field.e * degree - 1):
+            for _ in range(field.e - 1):
                 t = _fx_divmod(_fx_mul(t, t, field), f)[1]
                 w = _fx_sub(w, t, field)  # + and - agree in characteristic 2
         else:
-            w = _fx_powmod(r, (field.order**degree - 1) // 2, f, field)
+            w = _fx_powmod(r, (field.order - 1) // 2, f, field)
             w = _fx_sub(w, [field.one], field)
         g = _fx_gcd(f, w)
         if 1 < len(g) < len(f):
             return g
 
 
-def _fx_factors(f, degree: int, field, rng: random.Random) -> list:
+def _fx_roots(f, field, rng: random.Random) -> list:
+    """The roots of f, a monic product of distinct linear factors over
+    ``field``."""
+    if len(f) <= 2:
+        return [-f[0]] if len(f) == 2 else []
+    g = _fx_split(f, field, rng)
+    return _fx_roots(g, field, rng) + _fx_roots(_fx_divmod(f, g)[0], field, rng)
+
+
+def _gfp_factors(f: list[int], degree: int, p: int, rng: random.Random) -> list[list[int]]:
     """The monic irreducible factors of f, a monic product of distinct
-    irreducibles of one ``degree`` over ``field``."""
+    irreducibles of one ``degree`` over GF(p), on int lists: the
+    equal-degree split of Cantor and Zassenhaus, gcd(f, r^((p^degree -
+    1)/2) - 1) for a random r, or for p = 2 the trace map gcd(f, r + r^2 +
+    ... + r^(2^(degree - 1)))."""
     if len(f) - 1 <= degree:
         return [f] if len(f) > 1 else []
-    g = _fx_split(f, degree, field, rng)
-    return _fx_factors(g, degree, field, rng) + _fx_factors(
-        _fx_divmod(f, g)[0], degree, field, rng
-    )
+    while True:
+        r = _gfp_trim([rng.randrange(p) for _ in range(len(f) - 1)])
+        if p == 2:
+            w = t = r
+            for _ in range(degree - 1):
+                t = _gfp_divmod(_gfp_mul(t, t, p), f, p)[1]
+                w = _gfp_sub(w, t, p)  # + and - agree in characteristic 2
+        else:
+            w = _gfp_sub(_gfp_powmod(r, (p**degree - 1) // 2, f, p), [1], p)
+        g = _gfp_gcd(f, w, p)
+        if 1 < len(g) < len(f):
+            return _gfp_factors(g, degree, p, rng) + _gfp_factors(
+                _gfp_divmod(f, g, p)[0], degree, p, rng
+            )
 
 
 def frobenius_orbits(f: list[int], field: GF) -> list[tuple[FieldElem, int]]:
@@ -436,14 +458,14 @@ def frobenius_orbits(f: list[int], field: GF) -> list[tuple[FieldElem, int]]:
 
     gcd(f, x^(p^e) - x) keeps exactly those factors, once each, on int
     lists; distinct-degree factorization groups them by degree and an
-    equal-degree split separates each group over GF(p).  A root of each
-    factor is then split off over GF(p^e), one linear factor at a time.
+    equal-degree split separates each group over GF(p), also on int lists.
+    A root of each factor is then split off over GF(p^e), one linear factor
+    at a time.
     """
     p, e = field.p, field.e
     if len(f) < 2:
         return []
     rng = random.Random(0)
-    base = field if e == 1 else GF(p)
     x = [0, 1]
     t = x
     for _ in range(e):
@@ -459,10 +481,10 @@ def frobenius_orbits(f: list[int], field: GF) -> list[tuple[FieldElem, int]]:
         if len(group) < 2:
             continue
         rest = _gfp_divmod(rest, group, p)[0]
-        for phi in _fx_factors([base.elem(c) for c in group], degree, base, rng):
-            phi = [field.elem(c.coeffs) for c in phi]
+        for phi in _gfp_factors(group, degree, p, rng):
+            phi = [field.elem(c) for c in phi]
             while len(phi) > 2:
-                g = _fx_split(phi, 1, field, rng)
+                g = _fx_split(phi, field, rng)
                 phi = min(g, _fx_divmod(phi, g)[0], key=len)
             orbits.append((-phi[0], degree))
     return orbits
@@ -477,7 +499,7 @@ def common_roots(f: list, g: list, field: GF) -> list[FieldElem]:
         return []
     x = [field.zero, field.one]
     h = _fx_gcd(h, _fx_sub(_fx_powmod(x, field.order, h, field), x, field))
-    return [-phi[0] for phi in _fx_factors(h, 1, field, random.Random(0))]
+    return _fx_roots(h, field, random.Random(0))
 
 
 # ---------------------------------------------------------------------------
@@ -759,6 +781,18 @@ def _zx_neg(a, mod=None):
     return [-c if mod is None else -c % mod for c in a]
 
 
+def _zx_pow(a, k: int, mod=None):
+    """a^k in Z[x] (or GF(mod)[x]) by repeated squaring, k >= 0."""
+    out = [1]
+    while k:
+        if k & 1:
+            out = _zx_mul_sub(out, a, [], [], mod)
+        k >>= 1
+        if k:
+            a = _zx_mul_sub(a, a, [], [], mod)
+    return out
+
+
 def _linear_resultant(fc, gc, mod=None):
     """Res_x(F, G) for G = g1*x + g0, from coefficient rows in x: F at
     x = -g0/g1 scaled by g1^(deg F), which is the Sylvester determinant
@@ -766,13 +800,24 @@ def _linear_resultant(fc, gc, mod=None):
 
         Res_x(F, G) = sum_i f_i * g0^i * (-g1)^(deg F - i),
 
-    summed by Horner's rule in O(deg F) polynomial products.
+    summed by Horner's rule over the nonzero rows only: a run of ``gap``
+    zero rows costs one product by g0^gap and one by (-g1)^gap, each power
+    taken once per distinct gap.
     """
     (g0, g1), acc, w = gc, fc[-1], [-1]
-    for f in reversed(fc[:-1]):
-        w = _zx_mul_sub([], [], w, g1, mod)  # -(-g1)^(deg F - i)
-        acc = _zx_mul_sub(acc, g0, f, w, mod)
-    return acc
+    powers = {}
+    last = len(fc) - 1
+    for i in range(last - 1, -1, -1):
+        if not fc[i]:
+            continue
+        gap = last - i
+        if gap not in powers:
+            powers[gap] = (_zx_pow(g0, gap, mod), _zx_pow(_zx_neg(g1, mod), gap, mod))
+        g0_gap, g1_gap = powers[gap]
+        w = _zx_mul_sub(w, g1_gap, [], [], mod)  # -(-g1)^(deg F - i)
+        acc = _zx_mul_sub(acc, g0_gap, fc[i], w, mod)
+        last = i
+    return _zx_mul_sub(acc, _zx_pow(g0, last, mod), [], [], mod) if last else acc
 
 
 def _resultant_rows(fc, gc, mod=None):

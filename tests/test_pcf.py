@@ -5,6 +5,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import bicrit.pcf
+import bicrit.polyring
 from bicrit.belyi import belyi_coeffs
 from bicrit.errors import DomainError, ResourceBudgetError, UnsupportedParametersError
 from bicrit.idf import IdfWitness, find_idf_prime
@@ -18,7 +19,7 @@ from bicrit.pcf import (
     solve_mod,
     transversality_check,
 )
-from bicrit.polyring import GF, SparsePoly, UniPoly
+from bicrit.polyring import GF, SparsePoly, UniPoly, resultant_mod
 from util import dual_orbit_solutions, reduce_poly, reduced_values
 
 A, C = 0, 1
@@ -248,14 +249,48 @@ class TestSolveMod:
         "case, e", [((3, 1, 3, 2), 3), ((9, 2, 2, 2), 4), ((6, 1, 2, 2), 6), ((13, 6, 1, 1), 2)]
     )
     def test_orbit_scan_agrees_with_elimination(self, monkeypatch, case, e):
-        # past ELIMINATION_WORK_LIMIT one alpha of every Frobenius orbit is
-        # tried instead of the roots of R; with the limit at 0 every shape
-        # takes that route
+        # each route forced in turn: the roots of R against one alpha of
+        # every Frobenius orbit of GF(p^e)*
         w = find_idf_prime(*case[:2])
+        monkeypatch.setattr(bicrit.pcf, "_field_work", lambda *args: (0, True))
         eliminated = solve_mod(*case, w, e)
-        monkeypatch.setattr(bicrit.pcf, "ELIMINATION_WORK_LIMIT", 0)
+        monkeypatch.setattr(bicrit.pcf, "_field_work", lambda *args: (0, False))
         monkeypatch.setattr(bicrit.pcf, "resultant_mod", None)
         assert solve_mod(*case, w, e) == eliminated
+
+    @pytest.mark.parametrize("case", [(8, 2, 3, 3), (6, 1, 3, 3)])
+    def test_dense_resultant_is_scanned_in_small_fields(self, case):
+        # N = d - r is not a power of p, so R = Res_c(F, G) is a dense
+        # Bareiss elimination of degree 1800 (89 s and 277 s at e = 1),
+        # against a handful of gcds over GF(p)
+        d, k, n, m = case
+        w = find_idf_prime(d, k)
+        assert not bicrit.pcf._field_work(d, w, n, m, 1)[1]
+        start = time.perf_counter()
+        res = solve_mod(*case, w, 1)
+        assert time.perf_counter() - start < 1
+        got = [(s.alpha, s.beta, s.jacobian_value) for s in res.solutions]
+        assert got and got == dual_orbit_solutions(*case, res.field)
+
+    @pytest.mark.parametrize(
+        "case, fields, eliminates",
+        [
+            # scan 0.2-2.4 s up to GF(3^6); elimination over 120 s
+            ((8, 2, 3, 3), range(1, 7), False),
+            # N = 9: R costs 2.3-2.6 s, the scan 0.003-0.1 s up to GF(3^5)
+            ((9, 2, 3, 3), range(1, 6), False),
+            # over GF(7^4) elimination 0.43 s, the scan 0.80 s
+            ((7, 2, 3, 3), [4], True),
+            # over GF(5^4) elimination 0.06 s, the scan 0.15 s
+            ((5, 1, 3, 3), [4], True),
+        ],
+    )
+    def test_route_follows_measured_crossover(self, case, fields, eliminates):
+        d, k, n, m = case
+        w = find_idf_prime(d, k)
+        assert [bicrit.pcf._field_work(d, w, n, m, e)[1] for e in fields] == [eliminates] * len(
+            fields
+        )
 
     def test_alpha_zero_is_never_a_solution(self):
         # f_{0,c} is the constant c, so F_n(0, c) = c and G_m(0, c) = c - 1
@@ -354,6 +389,29 @@ class TestTransversality:
         monkeypatch.setattr(bicrit.pcf, "solve_mod", no_solutions)
         with pytest.raises(DomainError, match=r"over GF\(2\), GF\(2\^2\)"):
             transversality_check(4, 1, 1, 1, e_max=2)
+
+    def test_deep_orbit_skips_zero_rows(self, monkeypatch):
+        # F_7 mod 3 has 7 nonzero rows in c among 730: the substitution
+        # takes two products per nonzero row and a few per power of g0 or g1
+        products = []
+        real = bicrit.polyring._zx_mul_sub
+
+        def counted(*args):
+            products.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(bicrit.polyring, "_zx_mul_sub", counted)
+        F = critical_orbit_poly(3, 1, 0, 7, p=3).poly
+        G = critical_orbit_poly(3, 1, 1, 1, p=3).poly
+        assert len(resultant_mod(F, G, C)) == 1094
+        assert len(products) < 200  # two per row: 1458
+        monkeypatch.undo()
+        timings = []
+        for _ in range(3):
+            start = time.perf_counter()
+            transversality_check(3, 1, 7, 1, e_max=2)
+            timings.append(time.perf_counter() - start)
+        assert min(timings) < 0.1
 
     def test_deep_orbit_matches_pointwise_iteration(self):
         # F_7 over Q overflows the monomial budget; mod 3 it has 7 terms
