@@ -65,23 +65,9 @@ class IdfWitness:
     e: int
 
     def holds_for(self, d: int, k: int) -> bool:
-        """Recheck all three conditions from scratch."""
-        if self.p <= k or not 0 <= self.r <= k:
-            return False
-        m = d - self.r
-        if m < 2 or m % self.p != 0:
-            return False
-        e = 0
-        while m % self.p == 0:
-            m //= self.p
-            e += 1
-        if e != self.e:
-            return False
-        if self.r == 0:
-            return e >= 1
-        if self.r == 1:
-            return False
-        return e % self.r != 0
+        """Recheck all three conditions, and that p is prime, from scratch
+        (DomainError for a (d, k) out of range)."""
+        return is_idf_prime(self.p, d, k) == self
 
 
 @dataclass(frozen=True)

@@ -119,24 +119,29 @@ def critical_orbit_poly(
     return CriticalOrbitPoly(d, k, which, n, z - which)
 
 
-def _elimination_work(F: SparsePoly, G: SparsePoly) -> int:
-    """Predicted cost of the two resultants of F and G, from degrees alone.
+def _resultant_work(s: int, size: int, deg: int) -> int:
+    """Predicted cost of a resultant eliminating x, from degrees alone.
 
-    Eliminating x, the Sylvester matrix has dimension N = deg_x F + deg_x G,
-    each Bareiss step updates about s = min(deg_x F, deg_x G) rows, and the
-    entries grow to degree D = deg_x F * deg_y G + deg_x G * deg_y F (the
-    Bezout bound on the resultant's degree).  s * N * D^2 of the larger
-    elimination tracks measured run times to within a small factor.  With
-    s = 1 the linear polynomial is substituted into the other one: N Horner
-    steps on polynomials of degree up to D, N * D.
+    The Sylvester matrix has dimension ``size`` = deg_x F + deg_x G, each
+    Bareiss step updates about s = min(deg_x F, deg_x G) rows, and the
+    entries grow to degree ``deg``, the Bezout bound on the resultant's
+    degree: s * size * deg^2 tracks measured run times to within a small
+    factor.  With s = 1 the linear polynomial is substituted into the other
+    one: size Horner steps on polynomials of degree up to deg.
     """
+    return size * deg if s == 1 else s * size * deg**2
+
+
+def _elimination_work(F: SparsePoly, G: SparsePoly) -> int:
+    """Predicted cost of the two resultants of F and G over Z: the larger
+    _resultant_work, with deg = deg_x F * deg_y G + deg_x G * deg_y F."""
     work = 0
     for x in (_A, _C):
         y = 1 - x
         s = min(F.degree(x), G.degree(x))
         size = F.degree(x) + G.degree(x)
         deg = F.degree(x) * G.degree(y) + G.degree(x) * F.degree(y)
-        work = max(work, size * deg if s == 1 else s * size * deg**2)
+        work = max(work, _resultant_work(s, size, deg))
     return work
 
 
@@ -245,11 +250,10 @@ def _field_work(d: int, witness: IdfWitness, n: int, m: int, e: int) -> tuple[in
     priced in steps on int lists, each step about 30 ns:
 
     * eliminating: R = Res_c(F, G) over GF(p), then a^(p^e) mod R, e log p
-      products of degree-D polynomials.  With s = min(deg_c F, deg_c G) and
-      the Sylvester dimension S = deg_c F + deg_c G, R costs S*D when one
-      side is linear in c, S^2*D when N is a power of p (then F and G are
-      sums of a few p-th powers and the Bareiss entries stay sparse), and
-      s*S*D^2 otherwise.
+      products of degree-D polynomials.  R costs _resultant_work, except
+      S^2*D, with S = deg_c F + deg_c G the Sylvester dimension, when
+      neither side is linear in c and N is a power of p (then F and G are
+      sums of a few p-th powers and the Bareiss entries stay sparse).
     * scanning: one alpha of each of the p^e / e Frobenius orbits of
       GF(p^e)*, each a gcd of F(alpha, c) and G(alpha, c) over GF(p^e)
       (deg_c F * deg_c G products), setting a = alpha (S) and x^(p^e) mod
@@ -273,12 +277,7 @@ def _field_work(d: int, witness: IdfWitness, n: int, m: int, e: int) -> tuple[in
     t = N
     while t % p == 0:
         t //= p
-    if s == 1:
-        resultant = size * D
-    elif t == 1:
-        resultant = size * size * D
-    else:
-        resultant = s * size * D**2
+    resultant = size * size * D if s > 1 and t == 1 else _resultant_work(s, size, D)
     bits = p.bit_length()
     eliminate = resultant + bits * e * D**2
     scan = _FIELD_STEP * p**e // e * e**2 * (fc * gc + 30 * size + 100 * e * bits)

@@ -7,8 +7,12 @@ Provides
   irreducible of degree e, coefficients compared low-degree-first as
   integers in [0, p).  That makes every certificate reproducible bit for
   bit.  A :class:`FieldElem` computes with elements of its own field only;
-  ``scale`` multiplies it by an integer.  GF(p)[x] is the int-list
-  ``_gfp_*`` helpers, GF(p^e)[x] the FieldElem-list ``_fx_*`` helpers.
+  ``scale`` multiplies it by an integer.
+* One int-list kernel for Z[x] and GF(p)[x], the ``_zx_*`` functions
+  (``mod`` None or p): a product, a division, a power (optionally mod a
+  polynomial) and a monic gcd.  It serves the Bareiss resultants, the
+  product in GF(p^e), Rabin's irreducibility test and the factor split
+  over GF(p).  GF(p^e)[x] is the FieldElem-list ``_fx_*`` layer.
 * Roots in GF(p^e): :func:`frobenius_orbits` of a polynomial over GF(p),
   by distinct-degree factorization and Cantor-Zassenhaus equal-degree
   splitting, and :func:`common_roots` of two polynomials over GF(p^e).
@@ -22,9 +26,9 @@ Provides
   of any GF(p^e).
 * Bivariate resultants as Sylvester determinants, over Q
   (:func:`bivariate_resultant`: denominators are cleared once) and over
-  GF(p) (:func:`resultant_mod`).  One fraction-free (Bareiss) kernel runs
-  over Z[x] or GF(p)[x] on int coefficient lists, where every division is
-  exact; a polynomial linear in the eliminated variable is substituted
+  GF(p) (:func:`resultant_mod`).  One fraction-free (Bareiss) elimination
+  runs over Z[x] or GF(p)[x] on the int-list kernel, where every division
+  is exact; a polynomial linear in the eliminated variable is substituted
   into the other one instead.
 * p-adic Newton polygons with a root-valuation readout: a hull segment of
   slope -s and horizontal length L certifies exactly L roots of valuation
@@ -67,74 +71,113 @@ __all__ = [
 _PRIMES: set[int] = set()
 
 
-# -- GF(p)[x] helpers on plain int lists (lowest degree first, trimmed) -----
+def _check_prime(p: int) -> None:
+    if p not in _PRIMES:
+        if not is_prime(p):
+            raise DomainError(f"{p} is not prime")
+        _PRIMES.add(p)
 
 
-def _gfp_trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
+# -- Z[x] and GF(p)[x] on plain int lists (lowest degree first, trimmed) -----
+# ``mod`` None is Z[x]; a prime ``mod`` is GF(mod)[x], with every result
+# reduced into [0, mod).  No ``_zx_*`` function changes its arguments.
+
+
+def _trim(a: list) -> list:
+    """a without its zero top coefficients (ints or FieldElems), in place."""
+    while a and not a[-1]:
         a.pop()
     return a
 
 
-def _gfp_sub(a, b, p):
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i, c in enumerate(a):
-        out[i] = c
-    for i, c in enumerate(b):
-        out[i] = (out[i] - c) % p
-    return _gfp_trim(out)
+def _zx_neg(a, mod=None):
+    return [-c if mod is None else -c % mod for c in a]
 
 
-def _gfp_mul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] = (out[i + j] + ca * cb) % p
-    return _gfp_trim(out)
+def _zx_mul_sub(a, b, c, d, mod=None):
+    """a*b - c*d, reduced once at the end."""
+    out = [0] * max(len(a) + len(b), len(c) + len(d), 1)
+    for i, v in enumerate(a):
+        if v:
+            for j, w in enumerate(b, i):
+                out[j] += v * w
+    if c:
+        for i, v in enumerate(c):
+            if v:
+                for j, w in enumerate(d, i):
+                    out[j] -= v * w
+    if mod is not None:
+        out = [v % mod for v in out]
+    while out and not out[-1]:
+        out.pop()
+    return out
 
 
-def _gfp_divmod(a, b, p):
-    if not b:
-        raise DomainError("polynomial division by zero")
-    a = list(a)
-    inv_lead = pow(b[-1], p - 2, p)
-    q = [0] * max(0, len(a) - len(b) + 1)
-    while len(a) >= len(b):
-        c = a[-1] * inv_lead % p
-        shift = len(a) - len(b)
-        q[shift] = c
-        for i, cb in enumerate(b):
-            a[shift + i] = (a[shift + i] - c * cb) % p
-        _gfp_trim(a)
-        if not a:
-            break
-    return _gfp_trim(q), a
+def _zx_divmod(t, d, mod=None):
+    """(q, r) with t = q*d + r and deg r < deg d, for a nonzero d; over
+    GF(mod), t need not be reduced.
+
+    Long division from the top, on a copy of t.  Over Z each quotient
+    coefficient is an exact ``divmod`` by d's leading coefficient, else
+    DomainError; over GF(mod) it is a product with that coefficient's
+    inverse, which a monic d skips.
+    """
+    top = len(d) - 1
+    lead = d[-1]
+    inv = 1 if mod is None or lead == 1 else pow(lead, -1, mod)
+    r = list(t)
+    q = [0] * (len(r) - top)  # [] when deg t < deg d
+    for k in range(len(q) - 1, -1, -1):
+        if mod is None:
+            c, rem = divmod(r[k + top], lead)
+            if rem:
+                raise DomainError("inexact division in Z[x]")
+        else:
+            c = r[k + top] * inv % mod
+        if c:
+            q[k] = c
+            for j, v in enumerate(d, k):
+                r[j] -= c * v
+    del r[top:]
+    if mod is not None:
+        r = [v % mod for v in r]
+    return q, _trim(r) if any(r) else []
 
 
-def _gfp_gcd(a, b, p):
+def _zx_exact_div(t, d, mod=None):
+    """t / d for a nonzero d; DomainError unless the division is exact."""
+    q, r = _zx_divmod(t, d, mod)
+    if r:
+        raise DomainError("inexact division in Z[x]")
+    return q
+
+
+def _zx_pow(a, k: int, mod=None, f=None):
+    """a^k by repeated squaring, k >= 0; with a nonzero f, a^k mod f."""
+    if f is not None:
+        a = _zx_divmod(a, f, mod)[1]
+    out = [1]
+    while k:
+        if k & 1:
+            out = _zx_mul_sub(out, a, [], [], mod)
+            if f is not None:
+                out = _zx_divmod(out, f, mod)[1]
+        k >>= 1
+        if k:
+            a = _zx_mul_sub(a, a, [], [], mod)
+            if f is not None:
+                a = _zx_divmod(a, f, mod)[1]
+    return out
+
+
+def _zx_gcd(a, b, mod):
+    """The monic gcd in GF(mod)[x] ([] when both are zero)."""
     while b:
-        _, a = _gfp_divmod(a, b, p)
-        a, b = b, a
-    if a:
-        inv = pow(a[-1], p - 2, p)
-        a = [(c * inv) % p for c in a]
+        a, b = b, _zx_divmod(a, b, mod)[1]
+    if a and a[-1] != 1:
+        inv = pow(a[-1], -1, mod)
+        a = [c * inv % mod for c in a]
     return a
-
-
-def _gfp_powmod(base, exponent: int, modulus, p):
-    result = [1]
-    base = _gfp_divmod(base, modulus, p)[1]
-    while exponent:
-        if exponent & 1:
-            result = _gfp_divmod(_gfp_mul(result, base, p), modulus, p)[1]
-        exponent >>= 1
-        if exponent:
-            base = _gfp_divmod(_gfp_mul(base, base, p), modulus, p)[1]
-    return result
 
 
 def _gfp_is_irreducible(f: list[int], p: int) -> bool:
@@ -146,15 +189,14 @@ def _gfp_is_irreducible(f: list[int], p: int) -> bool:
     x = [0, 1]
     t = x
     for _ in range(e):
-        t = _gfp_powmod(t, p, f, p)
-    if _gfp_sub(t, x, p):
+        t = _zx_pow(t, p, p, f)
+    if t != x:
         return False
     for q in {q for q, _ in factor(e)}:
         t = x
         for _ in range(e // q):
-            t = _gfp_powmod(t, p, f, p)
-        g = _gfp_gcd(_gfp_sub(t, x, p), f, p)
-        if len(g) - 1 != 0:
+            t = _zx_pow(t, p, p, f)
+        if len(_zx_gcd(_zx_mul_sub(t, [1], x, [1], p), f, p)) > 1:
             return False
     return True
 
@@ -178,10 +220,7 @@ class GF:
     """
 
     def __init__(self, p: int, e: int = 1):
-        if p not in _PRIMES:
-            if not is_prime(p):
-                raise DomainError(f"{p} is not prime")
-            _PRIMES.add(p)
+        _check_prime(p)
         if e < 1:
             raise DomainError("extension degree must be >= 1")
         self.p = p
@@ -278,10 +317,10 @@ class FieldElem:
         fld = self.field
         if fld.e == 1:
             return FieldElem(fld, ((self.coeffs[0] * other.coeffs[0]) % fld.p,))
-        prod = _gfp_mul(list(self.coeffs), list(other.coeffs), fld.p)
-        _, rem = _gfp_divmod(prod, list(fld.modulus), fld.p)
-        rem = rem + [0] * (fld.e - len(rem))
-        return FieldElem(fld, tuple(rem))
+        # the product over Z, reduced mod p only by the division
+        prod = _zx_mul_sub(self.coeffs, other.coeffs, (), ())
+        rem = _zx_divmod(prod, fld.modulus, fld.p)[1]
+        return FieldElem(fld, tuple(rem) + (0,) * (fld.e - len(rem)))
 
     def scale(self, c: int) -> "FieldElem":
         """c * self for an integer c."""
@@ -329,17 +368,11 @@ class FieldElem:
 # -- GF(p^e)[x] on lists of FieldElem (lowest degree first, trimmed) -------
 
 
-def _fx_trim(a: list) -> list:
-    while a and not a[-1]:
-        a.pop()
-    return a
-
-
 def _fx_sub(a, b, field):
     out = list(a) + [field.zero] * (len(b) - len(a))
     for i, c in enumerate(b):
         out[i] = out[i] - c
-    return _fx_trim(out)
+    return _trim(out)
 
 
 def _fx_mul(a, b, field):
@@ -351,7 +384,7 @@ def _fx_mul(a, b, field):
             for j, y in enumerate(b, i):
                 if y:
                     out[j] = out[j] + x * y
-    return _fx_trim(out)
+    return _trim(out)
 
 
 def _fx_divmod(a, b):
@@ -368,7 +401,7 @@ def _fx_divmod(a, b):
             if y:
                 a[i] = a[i] - c * y
         a.pop()
-        _fx_trim(a)
+        _trim(a)
     return q, a
 
 
@@ -402,7 +435,7 @@ def _fx_split(f, field, rng: random.Random):
     Each draw splits f with probability about 1/2, and any proper factor
     will do: the callers' results do not depend on which one is found."""
     while True:
-        r = _fx_trim([field.elem([rng.randrange(field.p) for _ in range(field.e)])
+        r = _trim([field.elem([rng.randrange(field.p) for _ in range(field.e)])
                       for _ in range(len(f) - 1)])
         if field.p == 2:
             w = t = r
@@ -435,18 +468,18 @@ def _gfp_factors(f: list[int], degree: int, p: int, rng: random.Random) -> list[
     if len(f) - 1 <= degree:
         return [f] if len(f) > 1 else []
     while True:
-        r = _gfp_trim([rng.randrange(p) for _ in range(len(f) - 1)])
+        r = _trim([rng.randrange(p) for _ in range(len(f) - 1)])
         if p == 2:
             w = t = r
             for _ in range(degree - 1):
-                t = _gfp_divmod(_gfp_mul(t, t, p), f, p)[1]
-                w = _gfp_sub(w, t, p)  # + and - agree in characteristic 2
+                t = _zx_divmod(_zx_mul_sub(t, t, [], [], p), f, p)[1]
+                w = _zx_mul_sub(w, [1], t, [1], p)  # + and - agree in characteristic 2
         else:
-            w = _gfp_sub(_gfp_powmod(r, (p**degree - 1) // 2, f, p), [1], p)
-        g = _gfp_gcd(f, w, p)
+            w = _zx_mul_sub(_zx_pow(r, (p**degree - 1) // 2, p, f), [1], [1], [1], p)
+        g = _zx_gcd(f, w, p)
         if 1 < len(g) < len(f):
             return _gfp_factors(g, degree, p, rng) + _gfp_factors(
-                _gfp_divmod(f, g, p)[0], degree, p, rng
+                _zx_divmod(f, g, p)[0], degree, p, rng
             )
 
 
@@ -469,18 +502,18 @@ def frobenius_orbits(f: list[int], field: GF) -> list[tuple[FieldElem, int]]:
     x = [0, 1]
     t = x
     for _ in range(e):
-        t = _gfp_powmod(t, p, f, p)
-    rest = _gfp_gcd(f, _gfp_sub(t, x, p), p)
+        t = _zx_pow(t, p, p, f)
+    rest = _zx_gcd(f, _zx_mul_sub(t, [1], x, [1], p), p)
     orbits = []
     t = x
     for degree in range(1, e + 1):
         if len(rest) < 2:
             break
-        t = _gfp_powmod(t, p, rest, p)
-        group = _gfp_gcd(rest, _gfp_sub(t, x, p), p)
+        t = _zx_pow(t, p, p, rest)
+        group = _zx_gcd(rest, _zx_mul_sub(t, [1], x, [1], p), p)
         if len(group) < 2:
             continue
-        rest = _gfp_divmod(rest, group, p)[0]
+        rest = _zx_divmod(rest, group, p)[0]
         for phi in _gfp_factors(group, degree, p, rng):
             phi = [field.elem(c) for c in phi]
             while len(phi) > 2:
@@ -494,7 +527,7 @@ def common_roots(f: list, g: list, field: GF) -> list[FieldElem]:
     """The distinct common roots in ``field`` = GF(q) of f and g in
     GF(q)[x] (lists of FieldElem, lowest degree first): the linear factors
     of gcd(f, g, x^q - x), split off by Cantor and Zassenhaus."""
-    h = _fx_gcd(_fx_trim(list(f)), _fx_trim(list(g)))
+    h = _fx_gcd(_trim(list(f)), _trim(list(g)))
     if len(h) < 2:
         return []
     x = [field.zero, field.one]
@@ -655,76 +688,16 @@ class UniPoly:
 # ---------------------------------------------------------------------------
 
 
-def _sylvester_rows(f_coeffs, g_coeffs, zero):
-    """Sylvester matrix with f-rows above g-rows (coefficients low-first)."""
-    m = len(f_coeffs) - 1
-    n = len(g_coeffs) - 1
-    size = m + n
-    fh = list(reversed(f_coeffs))
-    gh = list(reversed(g_coeffs))
+def _sylvester_rows(f_coeffs, g_coeffs):
+    """Sylvester matrix with f-rows above g-rows (coefficients low-first),
+    its zero entries []."""
+    size = len(f_coeffs) + len(g_coeffs) - 2
     rows = []
-    for i in range(n):
-        row = [zero] * size
-        for j, c in enumerate(fh):
-            row[i + j] = c
-        rows.append(row)
-    for i in range(m):
-        row = [zero] * size
-        for j, c in enumerate(gh):
-            row[i + j] = c
-        rows.append(row)
+    for coeffs, count in ((f_coeffs, len(g_coeffs) - 1), (g_coeffs, len(f_coeffs) - 1)):
+        high = coeffs[::-1]
+        for i in range(count):
+            rows.append([[]] * i + high + [[]] * (size - i - len(high)))
     return rows
-
-
-def _zx_mul_sub(a, b, c, d, mod=None):
-    """a*b - c*d in Z[x], or in GF(mod)[x], on int lists (lowest degree
-    first, trimmed)."""
-    out = [0] * max(len(a) + len(b), len(c) + len(d), 1)
-    for x, y, s in ((a, b, 1), (c, d, -1)):
-        if not y:
-            continue
-        for i, v in enumerate(x):
-            if v:
-                v *= s
-                for j, w in enumerate(y, i):
-                    out[j] += v * w
-    if mod is not None:
-        out = [v % mod for v in out]
-    while out and not out[-1]:
-        out.pop()
-    return out
-
-
-def _zx_exact_div(t, d, mod=None):
-    """t / d in Z[x] (or GF(mod)[x]) for a nonzero d; DomainError unless the
-    division is exact.
-
-    Long division from the top, overwriting t: each quotient coefficient is
-    an exact ``divmod`` by d's leading coefficient (a product with its
-    inverse mod ``mod``), and the remainder must vanish.
-    """
-    if not t:
-        return t
-    lead = d[-1]
-    inv = None if mod is None else pow(lead, -1, mod)
-    top = len(d) - 1
-    q = [0] * (len(t) - top)
-    if not q:
-        raise DomainError("inexact division in Z[x]")
-    for k in range(len(q) - 1, -1, -1):
-        if mod is None:
-            c, rem = divmod(t[k + top], lead)
-            if rem:
-                raise DomainError("inexact division in Z[x]")
-        else:
-            c = t[k + top] * inv % mod
-        if c:
-            q[k] = c
-            for j, v in enumerate(d, k):
-                t[j] -= c * v
-    if any(v if mod is None else v % mod for v in t[:top]):
-        raise DomainError("inexact division in Z[x]")
-    return q
 
 
 def _bareiss_zx(mat, mod=None):
@@ -777,22 +750,6 @@ def _bareiss_zx(mat, mod=None):
     return _zx_neg(det, mod) if sign < 0 else det
 
 
-def _zx_neg(a, mod=None):
-    return [-c if mod is None else -c % mod for c in a]
-
-
-def _zx_pow(a, k: int, mod=None):
-    """a^k in Z[x] (or GF(mod)[x]) by repeated squaring, k >= 0."""
-    out = [1]
-    while k:
-        if k & 1:
-            out = _zx_mul_sub(out, a, [], [], mod)
-        k >>= 1
-        if k:
-            a = _zx_mul_sub(a, a, [], [], mod)
-    return out
-
-
 def _linear_resultant(fc, gc, mod=None):
     """Res_x(F, G) for G = g1*x + g0, from coefficient rows in x: F at
     x = -g0/g1 scaled by g1^(deg F), which is the Sylvester determinant
@@ -839,9 +796,9 @@ def _resultant_rows(fc, gc, mod=None):
     if df == 1:
         det = _linear_resultant(gc, fc, mod)
     elif swap:
-        det = _bareiss_zx(_sylvester_rows(gc, fc, []), mod)
+        det = _bareiss_zx(_sylvester_rows(gc, fc), mod)
     else:
-        det = _bareiss_zx(_sylvester_rows(fc, gc, []), mod)
+        det = _bareiss_zx(_sylvester_rows(fc, gc), mod)
     return _zx_neg(det, mod) if swap and df * dg % 2 else det
 
 
@@ -983,10 +940,8 @@ class SparsePoly:
     __slots__ = ("nvars", "terms", "p")
 
     def __init__(self, nvars: int, terms=None, p: int | None = None):
-        if p is not None and p not in _PRIMES:
-            if not is_prime(p):
-                raise DomainError(f"{p} is not prime")
-            _PRIMES.add(p)
+        if p is not None:
+            _check_prime(p)
         clean = {}
         for exps, c in (terms or {}).items():
             exps = tuple(int(e) for e in exps)
@@ -1161,7 +1116,7 @@ class SparsePoly:
             if e not in powers:
                 powers[e] = value**e
             out[exps[keep]] = out[exps[keep]] + powers[e].scale(c)
-        return _fx_trim(out)
+        return _trim(out)
 
     def __repr__(self):
         return f"SparsePoly({self.nvars}, {self.terms!r}, p={self.p})"

@@ -49,6 +49,13 @@ class TestIsIdfPrime:
         with pytest.raises(DomainError):
             is_idf_prime(5, 6, 3)
 
+    def test_composite_witness_refused(self):
+        # 4 | 8 and 9 | 18 to the first power with r = 0, but 4 and 9 are
+        # not prime
+        assert not IdfWitness(4, 0, 1).holds_for(8, 1)
+        assert not IdfWitness(9, 0, 1).holds_for(18, 1)
+        assert IdfWitness(3, 0, 2).holds_for(18, 1)
+
 
 class TestFindIdfPrime:
     def test_examples(self):

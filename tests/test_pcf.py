@@ -1,3 +1,5 @@
+import hashlib
+import json
 import time
 
 import pytest
@@ -161,6 +163,13 @@ class TestReduceMap:
         with pytest.raises(DomainError):
             reduce_map(3, 1, IdfWitness(5, 0, 1))
 
+    def test_composite_witness(self):
+        # no reduction "mod 4": 4 divides d = 8 once, but it is no prime
+        with pytest.raises(DomainError):
+            reduce_map(8, 1, IdfWitness(4, 0, 1))
+        with pytest.raises(DomainError):
+            solve_mod(8, 1, 1, 1, IdfWitness(4, 0, 1))
+
 
 class TestJacobian:
     def test_hand_example(self):
@@ -319,6 +328,34 @@ class TestSolveMod:
         monkeypatch.setattr(bicrit.pcf, "critical_orbit_poly", sharing)
         with pytest.raises(DomainError, match="share a component"):
             solve_mod(3, 1, 2, 1, find_idf_prime(3, 1), 1)
+
+
+class TestPredictedWork:
+    def test_prices_are_pinned(self):
+        # refusals and their messages quote these numbers, so both prices
+        # are pinned, by digest, on every (d, k) with d <= 9, n, m <= 3 and
+        # e <= 3: 144 elimination prices over Q and 432 (work, eliminates)
+        # pairs over GF(p^e)
+        shapes = [(d, k) for d in range(3, 10) for k in range(1, (d - 1) // 2 + 1)]
+        periods = [(n, m) for n in (1, 2, 3) for m in (1, 2, 3)]
+        polys = {
+            (d, k, which, n): critical_orbit_poly(d, k, which, n).poly
+            for d, k in shapes for which in (0, 1) for n in (1, 2, 3)
+        }
+        elimination = [
+            bicrit.pcf._elimination_work(polys[d, k, 0, n], polys[d, k, 1, m])
+            for d, k in shapes for n, m in periods
+        ]
+        field = [
+            list(bicrit.pcf._field_work(d, find_idf_prime(d, k), n, m, e))
+            for d, k in shapes for n, m in periods for e in (1, 2, 3)
+        ]
+        assert elimination[:5] == [2, 16, 130, 16, 4050]
+        assert field[:3] == [[64, True], [1926, True], [14588, True]]
+        digest = hashlib.sha256(json.dumps(elimination).encode()).hexdigest()
+        assert digest == "aed16bde4e64b3ee959210a1794f3bef7df356c1fb542296c04d5a8dc282d1d4"
+        digest = hashlib.sha256(json.dumps(field).encode()).hexdigest()
+        assert digest == "ef78029b7a49a23a20c9ec854f80213170d029e4f00c714119d5cc1a85ffdfb2"
 
 
 class TestTransversality:

@@ -14,7 +14,11 @@ from bicrit.polyring import (
     SparsePoly,
     UniPoly,
     _bareiss_zx,
+    _zx_divmod,
     _zx_exact_div,
+    _zx_gcd,
+    _zx_mul_sub,
+    _zx_pow,
     bivariate_resultant,
     common_roots,
     frobenius_orbits,
@@ -143,6 +147,112 @@ class TestResultant:
             if f.is_zero or g.is_zero:
                 continue
             assert resultant(f, g) == prs_resultant(f, g)
+
+
+def int_polys(lo, hi, size, nonzero=False):
+    """Trimmed int coefficient lists, lowest degree first: up to ``size``
+    coefficients, or for ``nonzero`` up to ``size`` below a nonzero top."""
+    low = st.lists(st.integers(lo, hi), max_size=size)
+    if not nonzero:
+        return low.map(_trimmed)
+    return st.builds(lambda a, top: a + [top], low, st.integers(lo, hi).filter(bool))
+
+
+def _trimmed(a):
+    a = list(a)
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _mod_p(f, p):
+    """A UniPoly over Q with denominators prime to p, as a trimmed int
+    list mod p."""
+    return _trimmed(reduce_coeff(c, GF(p)).coeffs[0] for c in f.coeffs)
+
+
+class TestIntListKernel:
+    """The int-list kernel of Z[x] and GF(p)[x] against UniPoly over Q."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), p=st.sampled_from((2, 3, 5, 7)))
+    def test_divmod_mod_p_is_reduction(self, data, p):
+        t = data.draw(int_polys(0, p - 1, 12))
+        d = data.draw(int_polys(0, p - 1, 5, nonzero=True))
+        q, r = poly_divmod(UniPoly(t), UniPoly(d))
+        assert _zx_divmod(t, d, p) == (_mod_p(q, p), _mod_p(r, p))
+
+    @settings(max_examples=150, deadline=None)
+    @given(t=int_polys(-20, 20, 8), d=int_polys(-3, 3, 4, nonzero=True))
+    def test_divmod_over_z_divides_exactly_or_raises(self, t, d):
+        q, r = poly_divmod(UniPoly(t), UniPoly(d))
+        if all(c.denominator == 1 for c in q.coeffs):
+            assert _zx_divmod(t, d) == (list(map(int, q.coeffs)), list(map(int, r.coeffs)))
+        else:
+            with pytest.raises(DomainError):
+                _zx_divmod(t, d)
+        if r or any(c.denominator != 1 for c in q.coeffs):
+            with pytest.raises(DomainError):
+                _zx_exact_div(t, d)
+        else:
+            assert _zx_exact_div(t, d) == list(map(int, q.coeffs))
+
+    @settings(max_examples=100, deadline=None)
+    @given(q=int_polys(-9, 9, 6), d=int_polys(-9, 9, 4, nonzero=True))
+    def test_exact_division_over_z(self, q, d):
+        t = _zx_mul_sub(q, d, [], [])
+        before = list(t)
+        assert _zx_divmod(t, d) == (q, [])
+        assert _zx_exact_div(t, d) == q
+        assert t == before  # the dividend is not consumed
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), p=st.sampled_from((2, 3, 5, 7)), k=st.integers(0, 12))
+    def test_pow_mod_is_repeated_product(self, data, p, k):
+        a = data.draw(int_polys(0, p - 1, 5))
+        f = data.draw(int_polys(0, p - 1, 4, nonzero=True).filter(lambda f: len(f) > 1))
+        want = [1]
+        for _ in range(k):
+            want = _mod_p(poly_divmod(UniPoly(want) * UniPoly(a), UniPoly(f))[1], p)
+        assert _zx_pow(a, k, p, f) == want
+        assert _zx_pow(a, k, p) == _mod_p(UniPoly(a) ** k, p)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), p=st.sampled_from((2, 3, 5, 7)))
+    def test_gcd_is_monic_and_divides_both(self, data, p):
+        common = data.draw(int_polys(0, p - 1, 3))
+        a = _zx_mul_sub(data.draw(int_polys(0, p - 1, 5)), common, [], [], p)
+        b = _zx_mul_sub(data.draw(int_polys(0, p - 1, 5)), common, [], [], p)
+        g = _zx_gcd(a, b, p)
+        if not a and not b:
+            assert g == []
+            return
+        assert g[-1] == 1
+        qa, ra = _zx_divmod(a, g, p)
+        qb, rb = _zx_divmod(b, g, p)
+        assert ra == rb == []
+        assert _zx_gcd(qa, qb, p) == [1]  # nothing more in common
+        if common:
+            assert _zx_divmod(g, common, p)[1] == []
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), pe=st.sampled_from(((2, 6), (3, 4), (5, 3), (7, 2))))
+    def test_field_product_is_schoolbook_mod_the_modulus(self, data, pe):
+        p, e = pe
+        field = GF(p, e)
+        x, y = (data.draw(st.lists(st.integers(0, p - 1), min_size=e, max_size=e))
+                for _ in range(2))
+        prod = [0] * (2 * e - 1)
+        for i, u in enumerate(x):
+            for j, v in enumerate(y):
+                prod[i + j] += u * v
+        mod = field.modulus  # monic, degree e
+        for top in range(2 * e - 2, e - 1, -1):
+            c = prod[top]
+            for i, m in enumerate(mod):
+                prod[top - e + i] -= c * m
+        want = tuple(c % p for c in prod[:e])
+        assert (field.elem(x) * field.elem(y)).coeffs == want
 
 
 class TestBivariateResultant:
