@@ -15,13 +15,14 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import sys
 import time
+from collections.abc import Iterable
 from dataclasses import fields, is_dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import __version__
 from .arith import DETERMINISTIC_PRIME_BOUND, ExtVal
@@ -69,6 +70,15 @@ def _exact(obj):
     raise TypeError(f"no exact serialization for {type(obj).__name__}")
 
 
+class _Text(dict):
+    """The exact form of each distinct int or str of a table, made once: a
+    scan repeats k, r, e and the primes of its witnesses row after row."""
+
+    def __missing__(self, value):
+        text = self[value] = str(value)
+        return text
+
+
 def _parse(flag: str, text: str, convert):
     """convert(text); a malformed flag value is a usage error, not a FAIL."""
     try:
@@ -77,8 +87,30 @@ def _parse(flag: str, text: str, convert):
         raise DomainError(f"--{flag}: cannot read {text!r} ({ex})") from ex
 
 
+class _Table(NamedTuple):
+    """A flat table: CSV rows, or a list of row objects at ``key`` of a
+    JSON report's result.  ``rows`` is read once."""
+
+    key: str
+    header: tuple[str, ...]
+    rows: Iterable[tuple]
+
+
+def _write_csv(table: _Table) -> None:
+    """The table, header first, through one csv.writer straight to stdout;
+    nothing at all for an empty table."""
+    rows = iter(table.rows)
+    first = next(rows, None)
+    if first is None:
+        return
+    writer = csv.writer(sys.stdout)
+    writer.writerow(table.header)
+    writer.writerow(first)
+    writer.writerows(rows)
+
+
 # ---------------------------------------------------------------------------
-# handlers: each returns (payload, verdict, exit_code, csv_rows_or_None)
+# handlers: each returns (payload, verdict, exit_code, _Table or None)
 # ---------------------------------------------------------------------------
 
 
@@ -141,35 +173,26 @@ def _h_idf_scan(ns):
         f"scanning k={ns.k}, d in [{ns.dmin}, {ns.dmax}], jobs={ns.jobs}",
         file=sys.stderr,
     )
-    witnesses = scan_witnesses(ns.dmin, ns.dmax, ns.k, jobs=ns.jobs)
-    rows = [
-        {
-            "d": d,
-            "k": ns.k,
-            "has_idf": "false" if w is None else "true",
-            "p": "" if w is None else w.p,
-            "r": "" if w is None else w.r,
-            "e": "" if w is None else w.e,
-        }
+    k = ns.k
+    witnesses = scan_witnesses(ns.dmin, ns.dmax, k, jobs=ns.jobs)
+    rows = (
+        (d, k, "false", "", "", "") if w is None else (d, k, "true", w.p, w.r, w.e)
         for d, w in witnesses
-    ]
+    )
     payload = {
         "dmin": ns.dmin,
         "dmax": ns.dmax,
-        "k": ns.k,
+        "k": k,
         "exceptions": [d for d, w in witnesses if w is None],
         "range_note": "certifies only the scanned range; larger d are not decided",
-        "rows": rows,
     }
-    return payload, "OK", EXIT_OK, rows
+    return payload, "OK", EXIT_OK, _Table("rows", ("d", "k", "has_idf", "p", "r", "e"), rows)
 
 
 def _h_idf_mordell(ns):
-    rows = [
-        {"x": m.x, "y": m.y, "b": m.b, "c": m.c, "d": m.d}
-        for m in mordell_candidates(ns.xmax)
-    ]
-    return {"xmax": ns.xmax, "candidates": rows}, "OK", EXIT_OK, rows
+    rows = ((m.x, m.y, m.b, m.c, m.d) for m in mordell_candidates(ns.xmax))
+    table = _Table("candidates", ("x", "y", "b", "c", "d"), rows)
+    return {"xmax": ns.xmax}, "OK", EXIT_OK, table
 
 
 def _val_params(ns) -> ValParams:
@@ -373,15 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _emit_csv(rows: list[dict]) -> str:
-    buf = io.StringIO()
-    if rows:
-        writer = csv.writer(buf)
-        writer.writerow(rows[0].keys())
-        writer.writerows(row.values() for row in rows)
-    return buf.getvalue()
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -391,18 +405,18 @@ def main(argv=None) -> int:
 
     started = time.perf_counter()
     try:
-        payload, verdict, code, rows = ns.handler(ns)
+        payload, verdict, code, table = ns.handler(ns)
     except (DomainError, ResourceBudgetError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return EXIT_USAGE
     elapsed_us = int((time.perf_counter() - started) * 1_000_000)
 
-    if ns.format == "csv" and rows is None:
+    if ns.format == "csv" and table is None:
         print("error: csv output is available for scan tables only", file=sys.stderr)
         return EXIT_USAGE
     try:
         if ns.format == "csv":
-            sys.stdout.write(_emit_csv(rows))
+            _write_csv(table)
             return code
         report = {
             "schema": "bicrit.report/1",
@@ -416,7 +430,14 @@ def main(argv=None) -> int:
             "result": payload,
             "timings": {"elapsed_us": elapsed_us},
         }
-        json.dump(_exact(report), sys.stdout, sort_keys=True, indent=2)
+        exact = _exact(report)
+        if table is not None:
+            # the rows, most of a scan report, are made exact in one pass
+            text = _Text()
+            exact["result"][table.key] = [
+                dict(zip(table.header, map(text.__getitem__, row))) for row in table.rows
+            ]
+        json.dump(exact, sys.stdout, sort_keys=True, indent=2)
         sys.stdout.write("\n")
     except BrokenPipeError:
         print("error: stdout was closed before the report was written", file=sys.stderr)

@@ -20,8 +20,14 @@ in X (complete integral-point machinery is deliberately out of scope).
 
 from __future__ import annotations
 
+import gc
+import os
+from array import array
 from dataclasses import dataclass
-from math import isqrt
+from functools import partial
+from itertools import compress
+from math import gcd, isqrt
+from operator import not_
 
 from .arith import factor, is_prime
 from .errors import DomainError, ResourceBudgetError
@@ -42,9 +48,9 @@ __all__ = [
 ]
 
 
-# scan_witnesses sieves every integer up to d_max, and a scan report holds
-# one row per degree: about 480 bytes a degree for CSV output (255 MB of
-# peak RSS at this limit) and about 900 for JSON
+# scan_witnesses returns one (d, witness) pair per degree, about 100 bytes
+# each: an `idf scan` run peaks at about 120 bytes a degree as CSV (76 MB
+# at this limit) and about 480 as JSON (260 MB), whose rows are objects
 SCAN_DMAX_LIMIT = 500_000
 
 
@@ -107,6 +113,23 @@ def is_idf_prime(p: int, d: int, k: int):
     return IdfWitness(p, r, e)
 
 
+def _first_witness(d: int, k: int, factorize) -> tuple[int, int, int] | None:
+    """(p, r, e) of the smallest-(r, p) IDF witness for (d, k), or None.
+
+    ``factorize(m)`` yields the (prime, exponent) pairs of m in increasing
+    order of the prime (those with prime <= k may be left out); r runs
+    over 0, 2, 3, ..., k.
+    """
+    for r in range(k + 1):
+        m = d - r
+        if r == 1 or m < 2:
+            continue
+        for p, e in factorize(m):
+            if p > k and (r == 0 or e % r != 0):
+                return p, r, e
+    return None
+
+
 def find_idf_prime(d: int, k: int) -> IdfWitness | None:
     """Smallest-(r, p) IDF witness for (d, k), or None.
 
@@ -115,54 +138,103 @@ def find_idf_prime(d: int, k: int) -> IdfWitness | None:
     is deterministic.
     """
     _check_dk(d, k)
-    for r in (0, *range(2, k + 1)):
-        m = d - r
-        if m < 2:
-            continue
-        for p, e in factor(m):
-            if p <= k:
-                continue
-            if r == 0 or e % r != 0:
-                return IdfWitness(p, r, e)
-    return None
+    w = _first_witness(d, k, factor)
+    return None if w is None else IdfWitness(*w)
 
 
-def _spf_sieve(limit: int) -> list[int]:
-    """Smallest-prime-factor table for 0..limit."""
-    spf = list(range(limit + 1))
-    for i in range(2, isqrt(limit) + 1):
-        if spf[i] == i:
-            for j in range(i * i, limit + 1, i):
-                if spf[j] == j:
-                    spf[j] = i
-    return spf
+# degrees per sieve segment: the unit of work handed to a worker
+SEGMENT = 1 << 17
 
 
-def _sieve_witness(d: int, k: int, spf: list[int]) -> tuple[int, int, int] | None:
-    # same (r ascending, then p ascending) tie-break as find_idf_prime
-    for r in (0, *range(2, k + 1)):
-        m = d - r
-        if m < 2:
-            continue
-        while m > 1:
-            p = spf[m]
+def _primes_upto(n: int) -> list[int]:
+    sieve = bytearray([1]) * (n + 1)
+    sieve[:2] = bytes(2)
+    for i in range(2, isqrt(n) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = bytes(len(range(i * i, n + 1, i)))
+    return list(compress(range(n + 1), sieve))
+
+
+def _rough_factor(m: int, smooth: int, primes: list[int]) -> list[tuple[int, int]]:
+    """(prime, exponent) pairs of m // gcd(m, smooth), in increasing order.
+
+    ``smooth`` holds every prime up to some bound b, each to a power at
+    least its exponent in m, and ``primes`` every prime in (b, sqrt(m)].
+    """
+    m //= gcd(m, smooth)
+    out = []
+    for p in primes:
+        if p * p > m:
+            break
+        if m % p == 0:
             e = 0
             while m % p == 0:
                 m //= p
                 e += 1
-            if p > k and (r == 0 or e % r != 0):
-                return (p, r, e)
-    return None
+            out.append((p, e))
+    if m > 1:
+        out.append((m, 1))
+    return out
 
 
-def _scan_chunk(args) -> list[tuple[int, tuple[int, int, int] | None]]:
-    d_lo, d_hi, k = args
-    spf = _spf_sieve(d_hi)
-    return [
-        (d, _sieve_witness(d, k, spf))
-        for d in range(d_lo, d_hi + 1)
-        if d >= 2 * k + 1
-    ]
+def _scan_segment(args):
+    """Witnesses for d in [lo, hi] (all d >= 2k + 1), in compact form.
+
+    Returns (lo, key, rest): key[i] is p << 5 | e when the witness of
+    lo + i is (p, 0, e) and 0 otherwise, and rest lists (i, (p, r, e))
+    for the witnesses with r >= 2.  (The key fits in 32 bits for
+    d < 2^27.)
+    """
+    lo, hi, k = args
+    n = hi - lo + 1
+    primes = _primes_upto(isqrt(hi))
+    small = [q for q in primes if q <= k]
+    # the least prime q above k, with its exponent, for every d that one of
+    # the base primes (k, sqrt(hi)] divides: larger primes and lower powers
+    # are written first, and later writes overwrite them
+    key = array("I", [0]) * n
+    base = primes[len(small):]
+    for q in reversed(base):
+        e, qe = 1, q
+        while qe <= hi:
+            i = -lo % qe
+            key[i::qe] = array("I", [q << 5 | e]) * len(range(i, n, qe))
+            e, qe = e + 1, qe * q
+    # a d that no base prime divides is gcd(d, smooth) * c, with smooth the
+    # primes <= k (up to sqrt(hi)) to their largest powers <= hi and c 1 or
+    # one prime above sqrt(hi): the witness is (c, 0, 1) when c > k, and d
+    # is k-smooth otherwise
+    smooth = 1
+    for q in small:
+        qe = q
+        while qe * q <= hi:
+            qe *= q
+        smooth *= qe
+    rest = []
+    factorize = partial(_rough_factor, smooth=smooth, primes=base)
+    for d in compress(range(lo, hi + 1), map(not_, key)):
+        c = d // gcd(d, smooth)
+        if c > k:
+            key[d - lo] = c << 5 | 1
+        else:
+            w = _first_witness(d, k, factorize)
+            if w is not None:
+                rest.append((d - lo, w))
+    return lo, key, rest
+
+
+class _Witnesses(dict):
+    """One frozen IdfWitness per distinct witness, by the keys of
+    :func:`_scan_segment`: p << 5 | e for (p, 0, e), (p, r, e) for any
+    other, and 0 for none."""
+
+    def __missing__(self, key):
+        if isinstance(key, tuple):
+            w = IdfWitness(*key)
+        else:
+            w = IdfWitness(key >> 5, 0, key & 31)
+        self[key] = w
+        return w
 
 
 def scan_witnesses(
@@ -170,12 +242,14 @@ def scan_witnesses(
 ) -> list[tuple[int, IdfWitness | None]]:
     """(d, smallest witness or None) for every d in [d_min, d_max].
 
-    Matches find_idf_prime degree by degree but runs off a shared
-    smallest-prime-factor sieve.  Degrees with k out of range
-    (d < 2k + 1) are skipped.  The scan partitions the range over workers
-    when jobs > 1 and merges in order, so output is independent of the
-    level of parallelism.  A d_max above ``SCAN_DMAX_LIMIT`` is refused
-    before anything is sieved.
+    Matches find_idf_prime degree by degree, off a sieve of the least
+    prime factor above k run segment by segment.  Degrees with k out of
+    range (d < 2k + 1) are skipped.  With jobs > 1 the segments are
+    spread over up to that many worker processes (no more than there are
+    CPUs or segments) and merged in order, so the output is independent
+    of the level of parallelism.  Equal witnesses are one shared object.
+    The list takes about 100 bytes a degree; a d_max above
+    ``SCAN_DMAX_LIMIT`` is refused before anything is sieved.
     """
     if k < 1:
         raise DomainError("k must be >= 1")
@@ -183,26 +257,37 @@ def scan_witnesses(
         return []
     if d_max > SCAN_DMAX_LIMIT:
         raise ResourceBudgetError(
-            f"a scan up to d = {d_max} sieves every integer up to it; "
+            f"a scan up to d = {d_max} lists a witness for every degree; "
             f"the limit is {SCAN_DMAX_LIMIT}"
         )
-    if jobs <= 1 or d_max - d_min < 4 * jobs:
-        raw = _scan_chunk((d_min, d_max, k))
-    else:
+    lo = max(d_min, 2 * k + 1)
+    segments = [
+        (a, min(a + SEGMENT - 1, d_max), k) for a in range(lo, d_max + 1, SEGMENT)
+    ]
+    workers = min(jobs, os.cpu_count() or 1, len(segments))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        span = d_max - d_min + 1
-        bounds = [d_min + span * i // jobs for i in range(jobs)] + [d_max + 1]
-        chunks = [
-            (bounds[i], bounds[i + 1] - 1, k)
-            for i in range(jobs)
-            if bounds[i] <= bounds[i + 1] - 1
-        ]
-        raw = []
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for part in pool.map(_scan_chunk, chunks):
-                raw.extend(part)
-    return [(d, None if w is None else IdfWitness(*w)) for d, w in raw]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(_scan_segment, segments))
+    else:
+        parts = map(_scan_segment, segments)
+    witnesses = _Witnesses({0: None})
+    out = []
+    # the pairs make no reference cycles: without the cyclic collector,
+    # filling the list does not rescan it again and again as it grows
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        for a, key, rest in parts:
+            at = len(out)
+            out += zip(range(a, a + len(key)), map(witnesses.__getitem__, key))
+            for i, w in rest:
+                out[at + i] = (a + i, witnesses[w])
+    finally:
+        if collecting:
+            gc.enable()
+    return out
 
 
 def scan_exceptions(d_min: int, d_max: int, k: int, jobs: int = 1) -> list[int]:

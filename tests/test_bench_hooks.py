@@ -10,6 +10,7 @@ import inspect
 import pathlib
 from collections import defaultdict
 
+import bicrit.idf
 import bicrit.pcf
 from bicrit.polyring import UniPoly
 
@@ -55,3 +56,15 @@ def test_resultant_has_what_the_counter_reads():
     assert counts["polyring.sylvester_dim"] == F.degree(1) + G.degree(1)
     assert counts["polyring.resultant_degree"] == 4
     assert counts["polyring.resultant_coeff_bits"] > 0
+
+
+def test_scan_has_what_the_counter_reads():
+    # _count_scan reads len(result) and, for each (d, witness) pair,
+    # whether the witness is None
+    spans = load_spans()
+    result = bicrit.idf.scan_witnesses(7, 2000, 3, jobs=2)
+    counts = defaultdict(int)
+    spans._count_scan(counts, (7, 2000, 3), {"jobs": 2}, result)
+    assert counts["idf.scan.degrees"] == 2000 - 7 + 1
+    assert counts["idf.scan.exceptions"] == 1  # d = 27
+    assert [d for d, w in result if w is None] == [27]

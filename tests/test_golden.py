@@ -1,8 +1,8 @@
 """Byte-for-byte guard on the CLI reports.
 
-Every README command, plus one integrality FAIL and the transversality
-cases of the benchmark, is pinned by its exit code and the sha256 of its
-stdout.  Only the ``elapsed_us`` timing is
+Every README command, plus one integrality FAIL, three more degree scans
+and the transversality cases of the benchmark, is pinned by its exit code
+and the sha256 of its stdout.  Only the ``elapsed_us`` timing is
 masked before hashing; every other byte of the report must stay the same.
 """
 
@@ -22,6 +22,13 @@ GOLDEN = [
      "63033a85a007b4d8b39af6aef2d83c352bf90b3e0d178229d6e90024dff3c090"),
     ("idf scan --k 3 --dmax 100000 --jobs 4 --format csv", 0,
      "90d115ec72e0b1430cfbd490eed7aebfb4b44270ce831c0bae630b07d0bc08f7"),
+    # scans as JSON, and as CSV cut over two and three workers
+    ("idf scan --k 3 --dmax 2000", 0,
+     "e493114550f005cc2e6b162ddc08270ca123efa7482138a913850a7ecc12f070"),
+    ("idf scan --k 7 --dmax 40462 --jobs 2 --format csv", 0,
+     "048f1a474289a50b907d19ac3f54f02c8fd9a31794ab4b18839e0a412b3b4ebb"),
+    ("idf scan --k 10 --dmax 30000 --jobs 3 --format csv", 0,
+     "89f2107340910610d7e3c8d4f717ab69cfeb061b6b8172e6a23ecb768309e061"),
     ("idf mordell --xmax 1000 --format csv", 0,
      "3c06aebabbeae8f4fcdc351de3925bb7ed1344126536acf6ff272b4750236f99"),
     ("idf conjecture --n 51 --k 3", 0,

@@ -1,6 +1,13 @@
-import pytest
+import concurrent.futures
+from math import isqrt
+from unittest.mock import patch
 
-from bicrit.arith import factor, val_p
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import bicrit.idf
+from bicrit.arith import factor, is_prime, val_p
 from bicrit.errors import DomainError, ResourceBudgetError
 from bicrit.idf import (
     SCAN_DMAX_LIMIT,
@@ -13,6 +20,7 @@ from bicrit.idf import (
     scan_exceptions,
     scan_witnesses,
 )
+from util import spf_sieve, spf_witness
 
 MORDELL_TABLE = [
     (2, 3, 1, 1, 11),
@@ -122,6 +130,107 @@ class TestScanExceptions:
     def test_skips_out_of_range_degrees(self):
         # d < 2k + 1 is not a valid pair and must not be reported
         assert scan_exceptions(2, 6, 3) == []
+
+
+def check_scan(d_min, d_max, k, jobs, segment):
+    """scan_witnesses against the smallest-prime-factor walk and against
+    find_idf_prime, with the range cut into segments of the given length."""
+    with patch.object(bicrit.idf, "SEGMENT", segment):
+        got = scan_witnesses(d_min, d_max, k, jobs)
+    spf = spf_sieve(max(d_max, 1))
+    degrees = range(max(d_min, 2 * k + 1), d_max + 1)
+    assert [d for d, _ in got] == list(degrees)
+    assert [None if w is None else (w.p, w.r, w.e) for _, w in got] == [
+        spf_witness(d, k, spf) for d in degrees
+    ]
+    assert [w for _, w in got] == [find_idf_prime(d, k) for d in degrees]
+
+
+JOBS = st.sampled_from((1, 2, 3))
+SEGMENTS = st.sampled_from((1, 2, 7, 64, 1000, bicrit.idf.SEGMENT))
+
+
+class TestScanOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        k=st.integers(1, 12),
+        d_min=st.integers(0, 3000),
+        length=st.integers(-2, 1500),
+        jobs=JOBS,
+        segment=SEGMENTS,
+    )
+    def test_ranges(self, k, d_min, length, jobs, segment):
+        # d_min may sit below 2k + 1, and the range may be one degree or none
+        check_scan(d_min, d_min + length, k, jobs, segment)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), d_max=st.integers(9, 700), jobs=JOBS, segment=SEGMENTS)
+    def test_no_base_prime_above_k(self, data, d_max, jobs, segment):
+        # k >= sqrt(d_max): every prime above k is larger than sqrt(d)
+        k = data.draw(st.integers(isqrt(d_max), max(isqrt(d_max), (d_max - 1) // 2)))
+        d_min = data.draw(st.integers(0, d_max))
+        check_scan(max(d_min, d_max - 150), d_max, k, jobs, segment)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), k=st.integers(1, 10), jobs=JOBS, segment=SEGMENTS)
+    def test_small_prime_times_large_prime(self, data, k, jobs, segment):
+        # d = q * P with q <= k and P prime above sqrt(d_max): no base
+        # prime divides d, and P is found once q is stripped
+        P = data.draw(st.integers(max(k + 1, 40), 3000).filter(is_prime))
+        q = data.draw(st.integers(1, k))
+        d_max = data.draw(st.integers(q * P, min(P * P - 1, q * P + 200)))
+        d_min = data.draw(st.integers(q * P - 200, q * P))
+        check_scan(d_min, d_max, k, jobs, segment)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        edge=st.integers(1, 40),
+        offset=st.integers(-3, 3),
+        k=st.integers(1, 6),
+        jobs=JOBS,
+        segment=st.sampled_from((7, 64, 100)),
+    )
+    def test_segment_edges(self, edge, offset, k, jobs, segment):
+        # ranges that start, end or turn one degree off a segment boundary
+        lo = 2 * k + 1
+        at = lo + edge * segment + offset
+        check_scan(lo, at, k, jobs, segment)
+        check_scan(at, at, k, jobs, segment)
+        check_scan(at, at + segment, k, jobs, segment)
+
+
+class _RecordingPool:
+    """A ProcessPoolExecutor stand-in that starts no process."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+class TestWorkerCount:
+    @pytest.mark.parametrize(
+        "cpus, jobs, expected",
+        [(64, 100_000, 20), (3, 100_000, 3), (64, 5, 5), (None, 100_000, None), (64, 1, None)],
+    )
+    def test_workers_are_clamped(self, monkeypatch, cpus, jobs, expected):
+        # at most one worker per CPU and per segment, whatever --jobs asks
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+        monkeypatch.setattr(_RecordingPool, "sizes", [])
+        monkeypatch.setattr(bicrit.idf.os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(bicrit.idf, "SEGMENT", 1000)
+        got = scan_witnesses(7, 20_006, 3, jobs=jobs)  # 20 segments
+        assert _RecordingPool.sizes == ([] if expected is None else [expected])
+        assert got == scan_witnesses(7, 20_006, 3)
 
 
 class TestMordell:

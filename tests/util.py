@@ -1,7 +1,7 @@
 """Shared test oracles, independent of the implementation paths they check."""
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, isqrt
 
 from bicrit.arith import ExtVal
 from bicrit.belyi import belyi_coeffs
@@ -231,6 +231,36 @@ def prs_resultant(f, g):
         return sign * (b.coeffs[-1] ** (da - r.degree)) * rec(b, r)
 
     return rec(f, g)
+
+
+def spf_sieve(limit):
+    """Smallest-prime-factor table for 0..limit."""
+    spf = list(range(limit + 1))
+    for i in range(2, isqrt(limit) + 1):
+        if spf[i] == i:
+            for j in range(i * i, limit + 1, i):
+                if spf[j] == j:
+                    spf[j] = i
+    return spf
+
+
+def spf_witness(d, k, spf):
+    """(p, r, e) of the smallest-(r, p) IDF witness for (d, k), or None,
+    by walking the factorization of each d - r down a smallest-prime-factor
+    table that covers d."""
+    for r in (0, *range(2, k + 1)):
+        m = d - r
+        if m < 2:
+            continue
+        while m > 1:
+            p = spf[m]
+            e = 0
+            while m % p == 0:
+                m //= p
+                e += 1
+            if p > k and (r == 0 or e % r != 0):
+                return (p, r, e)
+    return None
 
 
 def _int_val_fast(n, p):
