@@ -9,7 +9,6 @@ a representable value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -67,12 +66,33 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
 class Factorization:
-    """Prime factorization ``n = prod p^e`` with strictly increasing primes."""
+    """Prime factorization ``n = prod p^e`` with strictly increasing primes;
+    immutable.  Iterating yields the (p, e) pairs (a plain class: a
+    NamedTuple's length, indexing and ``in`` would see (n, factors))."""
 
-    n: int
-    factors: tuple[tuple[int, int], ...]
+    __slots__ = _fields = ("n", "factors")
+
+    def __init__(self, n: int, factors: tuple[tuple[int, int], ...]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "factors", factors)
+
+    def __setattr__(self, *_):
+        raise AttributeError("a Factorization is immutable")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self):
+        return f"Factorization(n={self.n!r}, factors={self.factors!r})"
+
+    def __eq__(self, other):
+        return type(other) is Factorization and (self.n, self.factors) == (other.n, other.factors)
+
+    def __hash__(self):
+        return hash((self.n, self.factors))
+
+    def __reduce__(self):
+        return Factorization, (self.n, self.factors)
 
     def __iter__(self):
         return iter(self.factors)

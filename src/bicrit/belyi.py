@@ -22,10 +22,10 @@ comparison in the test suite).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import comb, factorial
+from typing import NamedTuple
 
 from .errors import DomainError, ResourceBudgetError
 from .polyring import SparsePoly, UniPoly
@@ -47,8 +47,7 @@ def _check_dk(d: int, k: int) -> None:
         raise DomainError(f"k must satisfy 1 <= k <= d-2, got k={k} for d={d}")
 
 
-@dataclass(frozen=True)
-class BelyiPoly:
+class BelyiPoly(NamedTuple):
     """The normal form above: b_i is the coefficient of z^(d-i), 0 <= i <= k."""
 
     d: int
@@ -135,8 +134,7 @@ def conjugate_params(a: Fraction, c: Fraction, d: int, k: int):
     return a, Fraction(1) - a - Fraction(c), d - 1 - k
 
 
-@dataclass(frozen=True)
-class NCriticalForm:
+class NCriticalForm(NamedTuple):
     """Degree-d form with critical points 0, 1, gamma_1..gamma_{n-2}.
 
     ``coeffs`` maps z-exponents to coefficients: Fractions when the gammas

@@ -20,7 +20,6 @@ import os
 import sys
 import time
 from collections.abc import Iterable
-from dataclasses import fields, is_dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -61,12 +60,12 @@ def _exact(obj):
         return "inf" if obj.is_infinite else str(obj.finite)
     if isinstance(obj, FieldElem):
         return [str(c) for c in obj.coeffs]
+    if hasattr(obj, "_fields"):  # a record, before the tuple it may be
+        return {name: _exact(getattr(obj, name)) for name in obj._fields}
     if isinstance(obj, (list, tuple)):
         return [_exact(x) for x in obj]
     if isinstance(obj, dict):
         return {_exact(k): _exact(v) for k, v in obj.items()}
-    if is_dataclass(obj):
-        return {f.name: _exact(getattr(obj, f.name)) for f in fields(obj)}
     raise TypeError(f"no exact serialization for {type(obj).__name__}")
 
 
@@ -207,13 +206,8 @@ def _h_valdyn_orbit(ns):
     case = classify_case(params)
     cert = None
     if case.value != "INTEGRAL":
-        c = divergence_certificate(params)
-        cert = {
-            "kind": c.kind,
-            "start": c.start,
-            "steps": c.steps,
-            "step_decrement": c.step_decrement,
-        }
+        cert = divergence_certificate(params)._asdict()
+        del cert["case"]  # reported once, at the top
     payload = {
         "case": case.value,
         "orbit": [

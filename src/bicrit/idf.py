@@ -23,11 +23,11 @@ from __future__ import annotations
 import gc
 import os
 from array import array
-from dataclasses import dataclass
 from functools import partial
 from itertools import compress
 from math import gcd, isqrt
 from operator import not_
+from typing import NamedTuple
 
 from .arith import factor, is_prime
 from .errors import DomainError, ResourceBudgetError
@@ -62,8 +62,7 @@ def _check_dk(d: int, k: int) -> None:
         raise DomainError(f"k must satisfy 1 <= k <= {bound} for d={d}, got {k}")
 
 
-@dataclass(frozen=True)
-class IdfWitness:
+class IdfWitness(NamedTuple):
     """Certificate that p is IDF for some (d, k): p | d - r with e = v_p(d-r)."""
 
     p: int
@@ -73,11 +72,11 @@ class IdfWitness:
     def holds_for(self, d: int, k: int) -> bool:
         """Recheck all three conditions, and that p is prime, from scratch
         (DomainError for a (d, k) out of range)."""
+        # an IdfRejection has five fields, so it never equals a witness
         return is_idf_prime(self.p, d, k) == self
 
 
-@dataclass(frozen=True)
-class IdfRejection:
+class IdfRejection(NamedTuple):
     """Why a particular prime is not IDF for (d, k)."""
 
     p: int
@@ -224,7 +223,7 @@ def _scan_segment(args):
 
 
 class _Witnesses(dict):
-    """One frozen IdfWitness per distinct witness, by the keys of
+    """One IdfWitness record per distinct witness, by the keys of
     :func:`_scan_segment`: p << 5 | e for (p, 0, e), (p, r, e) for any
     other, and 0 for none."""
 
@@ -299,8 +298,7 @@ MORDELL_B_SET = (1, 2, 3, 6)
 MORDELL_C_SET = (1, 2, 3, 4, 6, 9, 12, 18, 36)
 
 
-@dataclass(frozen=True)
-class MordellCandidate:
+class MordellCandidate(NamedTuple):
     """Solution of B*Y^2 = C*X^3 + 1; the associated degree is d = C*X^3 + 3."""
 
     x: int

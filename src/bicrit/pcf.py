@@ -30,9 +30,9 @@ order, so only the unit property is orientation-free).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from typing import NamedTuple
 
 from .arith import val_p
 from .belyi import belyi_coeffs, ncritical_form
@@ -84,8 +84,7 @@ _FIELD_STEP = 30
 _A, _C = 0, 1
 
 
-@dataclass(frozen=True)
-class CriticalOrbitPoly:
+class CriticalOrbitPoly(NamedTuple):
     d: int
     k: int
     which: int  # 0 or 1: which critical point
@@ -145,8 +144,7 @@ def _elimination_work(F: SparsePoly, G: SparsePoly) -> int:
     return work
 
 
-@dataclass(frozen=True)
-class IntegralityCertificate:
+class IntegralityCertificate(NamedTuple):
     """Newton-polygon evidence that locus solutions are p-adically integral.
 
     res_a is Res_c(F_n, G_m) in a with a^j factors and content stripped and
@@ -284,15 +282,13 @@ def _field_work(d: int, witness: IdfWitness, n: int, m: int, e: int) -> tuple[in
     return _FIELD_STEP * bits * e**5 + min(eliminate, scan), eliminate <= scan
 
 
-@dataclass(frozen=True)
-class FiniteSolution:
+class FiniteSolution(NamedTuple):
     alpha: FieldElem
     beta: FieldElem
     jacobian_value: FieldElem
 
 
-@dataclass(frozen=True)
-class SolveModResult:
+class SolveModResult(NamedTuple):
     field: GF
     solutions: tuple[FiniteSolution, ...]
     excluded_alpha_zero: int
@@ -352,8 +348,7 @@ def solve_mod(
     return SolveModResult(field, tuple(sols), 0)
 
 
-@dataclass(frozen=True)
-class TransversalityReport:
+class TransversalityReport(NamedTuple):
     d: int
     k: int
     n: int
@@ -425,8 +420,7 @@ def transversality_check(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NCritCounterexampleReport:
+class NCritCounterexampleReport(NamedTuple):
     """Both failure modes of the n-critical extension, checked exactly.
 
     * The degree-10 profile-[7, 1] form has every z-coefficient divisible

@@ -38,10 +38,10 @@ Provides
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
+from typing import NamedTuple
 
 from .arith import ExtVal, INFINITY, factor, is_prime, val_p
 from .errors import DomainError
@@ -328,10 +328,19 @@ class FieldElem:
         return FieldElem(self.field, tuple(a * c % p for a in self.coeffs))
 
     def inverse(self) -> "FieldElem":
-        """x^(q-2), which is 1/x in the multiplicative group of order q - 1."""
+        """1/x by the extended Euclidean algorithm against the modulus."""
         if not self:
             raise DomainError("cannot invert zero")
-        return self ** (self.field.order - 2)
+        p = self.field.p
+        # s * x = r modulo the modulus, for (r, s) and (r1, s1)
+        r, s, r1, s1 = self.field.modulus, [], _trim(list(self.coeffs)), [1]
+        while len(r1) > 1:
+            q, rem = _zx_divmod(r, r1, p)
+            r, s, r1, s1 = r1, s1, rem, _zx_mul_sub(s, [1], q, s1, p)
+        # r1 is now a nonzero constant, as the modulus is irreducible; over
+        # GF(p), which has no modulus, x is a constant and the loop never runs
+        inv = pow(r1[0], -1, p)
+        return self.field.elem([c * inv for c in s1])
 
     def __truediv__(self, other):
         if not self._same_field(other):
@@ -858,14 +867,12 @@ def _check_pair(F: "SparsePoly", G: "SparsePoly", p: int | None) -> None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(NamedTuple):
     slope: Fraction
     length: int
 
 
-@dataclass(frozen=True)
-class NewtonPolygon:
+class NewtonPolygon(NamedTuple):
     """Lower convex hull of (exponent, p-adic coefficient valuation) points.
 
     ``vanishing_order`` roots of valuation INFINITY (from the x^j factor)

@@ -23,10 +23,10 @@ v(y) >= v_a.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import comb
+from typing import NamedTuple
 
 from .arith import ExtVal, INFINITY, factor, val_p
 from .belyi import belyi_coeffs
@@ -59,22 +59,14 @@ class CaseTag(Enum):
     INTEGRAL = "INTEGRAL"  # v_a >= 0, v_b >= 0
 
 
-@dataclass(frozen=True)
-class TropVal:
+class TropVal(NamedTuple):
     """A valuation bound; exact means the governing minimum was unique."""
 
     value: ExtVal
     exact: bool
 
 
-@dataclass(frozen=True)
-class ValParams:
-    """IDF data (d, k, r, e) together with parameter valuations.
-
-    Validity requires some prime p > k with v_p(d - r) exactly e, r != 1,
-    and r not dividing e.
-    """
-
+class _ValFields(NamedTuple):
     d: int
     k: int
     r: int
@@ -82,8 +74,19 @@ class ValParams:
     v_alpha: ExtVal
     v_beta: ExtVal
 
-    def __post_init__(self):
-        d, k, r, e = self.d, self.k, self.r, self.e
+
+class ValParams(_ValFields):
+    """IDF data (d, k, r, e) together with parameter valuations.
+
+    Validity requires some prime p > k with v_p(d - r) exactly e, r != 1,
+    and r not dividing e; the constructor raises DomainError otherwise.
+    """
+
+    __slots__ = ()
+    # the inherited _make, and so _replace, would skip the checks in __new__
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
+    def __new__(cls, d: int, k: int, r: int, e: int, v_alpha: ExtVal, v_beta: ExtVal):
         if d < 3 or not 1 <= k <= (d - 1) // 2:
             raise DomainError(f"invalid (d, k) = ({d}, {k})")
         if not 0 <= r <= k or r == 1:
@@ -96,8 +99,9 @@ class ValParams:
             raise DomainError(
                 f"no prime p > {k} has v_p({d - r}) = {e}: not an IDF witness"
             )
-        if not isinstance(self.v_alpha, ExtVal) or not isinstance(self.v_beta, ExtVal):
+        if not isinstance(v_alpha, ExtVal) or not isinstance(v_beta, ExtVal):
             raise DomainError("parameter valuations must be ExtVal")
+        return super().__new__(cls, d, k, r, e, v_alpha, v_beta)
 
 
 def _min_with_uniqueness(terms: list[ExtVal]) -> TropVal:
@@ -177,8 +181,7 @@ def classify_case(params: ValParams) -> CaseTag:
     return CaseTag.CASE4III
 
 
-@dataclass(frozen=True)
-class DivergenceCertificate:
+class DivergenceCertificate(NamedTuple):
     """Outcome of the orbit-valuation analysis for one parameter class.
 
     kind "diverging": the listed steps are exact and strictly decreasing,
@@ -225,8 +228,7 @@ _X, _Y = 0, 1
 _TERM_GUARD = 200_000
 
 
-@dataclass(frozen=True)
-class ShiftDecomposition:
+class ShiftDecomposition(NamedTuple):
     d: int
     k: int
     n: int

@@ -9,7 +9,7 @@ import bicrit
 import bicrit.arith
 import bicrit.pcf
 from bicrit.arith import DETERMINISTIC_PRIME_BOUND
-from bicrit.cli import main
+from bicrit.cli import COMMANDS, GROUPS, main
 from bicrit.idf import SCAN_DMAX_LIMIT
 from util import dual_orbit_solutions
 
@@ -339,3 +339,50 @@ class TestCsv:
         by_d = {row["d"]: row for row in rep["result"]["rows"]}
         assert by_d["27"]["has_idf"] == "false"
         assert by_d["26"]["has_idf"] == "true"
+
+
+class TestHelp:
+    # structural checks: argparse's wording and layout vary between versions
+    def help_text(self, capsys, *argv):
+        code, out = run(capsys, *argv, "--help")
+        assert code == 0
+        return out
+
+    def test_top_help_lists_every_group(self, capsys):
+        out = self.help_text(capsys)
+        assert "--version" in out
+        for group, text in GROUPS.items():
+            assert group in out and text in out
+
+    def test_group_help_lists_its_commands(self, capsys):
+        for group in GROUPS:
+            out = self.help_text(capsys, group)
+            for owner, cmd, _handler, text, _options in COMMANDS:
+                if owner == group:
+                    assert cmd in out and text in out
+
+    def test_command_help_lists_every_option(self, capsys):
+        for group, cmd, _handler, _text, options in COMMANDS:
+            out = self.help_text(capsys, group, cmd)
+            assert f"bicrit {group} {cmd}" in out
+            for name in ("format", *options):
+                assert f"--{name}" in out
+
+
+def test_cli_does_not_import_dataclasses():
+    # -S: no site hooks, whose imports are not bicrit's
+    src = os.path.dirname(os.path.dirname(bicrit.__file__))
+    probe = (
+        "import json, sys, bicrit.cli; bicrit.cli.build_parser(); "
+        "print(json.dumps(list(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=60,
+        check=True,
+    ).stdout
+    modules = json.loads(out)
+    assert "bicrit.cli" in modules and "dataclasses" not in modules

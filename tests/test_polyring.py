@@ -29,6 +29,7 @@ from util import (
     exact_div,
     fraction_bivariate_resultant,
     poly_divmod,
+    power_inverse,
     prs_resultant,
     reduce_coeff,
     reduce_poly,
@@ -253,6 +254,26 @@ class TestIntListKernel:
                 prod[top - e + i] -= c * m
         want = tuple(c % p for c in prod[:e])
         assert (field.elem(x) * field.elem(y)).coeffs == want
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        data=st.data(),
+        p=st.sampled_from((2, 3, 5, 7, 11, 13)),
+        e=st.integers(1, 4),
+    )
+    def test_inverse_is_the_power_q_minus_2(self, data, p, e):
+        field = GF(p, e)
+        x = field.elem(data.draw(st.lists(st.integers(0, p - 1), min_size=e, max_size=e)))
+        assume(x)
+        assert x.inverse() == power_inverse(x)
+        assert x * x.inverse() == field.one
+
+    def test_zero_has_no_inverse(self):
+        for field in (GF(5), GF(2, 3), GF(13, 4)):
+            with pytest.raises(DomainError):
+                field.zero.inverse()
+            with pytest.raises(DomainError):
+                field.one / field.zero
 
 
 class TestBivariateResultant:

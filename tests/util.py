@@ -40,6 +40,11 @@ def reduce_poly(P, p):
     )
 
 
+def power_inverse(x):
+    """1/x for a nonzero x of GF(q) as x^(q-2), in the group of order q - 1."""
+    return x ** (x.field.order - 2)
+
+
 def reduced_values(f, field):
     """(x, value) of a UniPoly over Q reduced into ``field``, for every x
     in the order of ``field.elements()``."""
