@@ -14,12 +14,11 @@ malformed flag value and a stdout closed before the report was written.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
 import time
-from collections.abc import Iterable
+from collections.abc import Callable
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -69,15 +68,6 @@ def _exact(obj):
     raise TypeError(f"no exact serialization for {type(obj).__name__}")
 
 
-class _Text(dict):
-    """The exact form of each distinct int or str of a table, made once: a
-    scan repeats k, r, e and the primes of its witnesses row after row."""
-
-    def __missing__(self, value):
-        text = self[value] = str(value)
-        return text
-
-
 def _parse(flag: str, text: str, convert):
     """convert(text); a malformed flag value is a usage error, not a FAIL."""
     try:
@@ -88,24 +78,78 @@ def _parse(flag: str, text: str, convert):
 
 class _Table(NamedTuple):
     """A flat table: CSV rows, or a list of row objects at ``key`` of a
-    JSON report's result.  ``rows`` is read once."""
+    JSON report's result.  A row is a pair (lead, tag) of its first cell
+    and a tag whose ``cells(tag)`` are the other cells: rows with equal
+    tags share the text of those cells.  ``rows`` is emptied as it is
+    written."""
 
     key: str
     header: tuple[str, ...]
-    rows: Iterable[tuple]
+    rows: list[tuple]
+    cells: Callable[[object], tuple]
+
+
+# rows per write: the text of a table is never held whole, and the rows
+# written are freed as the cached text of their tags grows
+_CHUNK = 1 << 12
+
+# a placeholder string value: json writes it as "\u0000", which no other
+# string of a report holds
+_HOLE = "\0"
+
+
+def _write_rows(table: _Table, around, sep: str, opening: str, closing: str, empty: str):
+    """The table's rows between ``opening`` and ``closing`` with ``sep``
+    between them, written _CHUNK rows at a time; ``empty`` alone for no
+    rows.  ``around(cells)`` gives the text before and after a row's lead
+    cell, once per distinct tag."""
+
+    class Parts(dict):
+        def __missing__(self, tag):
+            parts = self[tag] = around(tuple(map(str, table.cells(tag))))
+            return parts
+
+    parts = Parts()
+    rows = table.rows
+    write = sys.stdout.write
+    if not rows:
+        write(empty)
+        return
+    write(opening)
+    at = ""
+    while rows:
+        chunk = rows[:_CHUNK]
+        del rows[:_CHUNK]
+        write(at)
+        write(sep.join([f"{h}{lead}{t}" for lead, tag in chunk for h, t in (parts[tag],)]))
+        at = sep
+    write(closing)
 
 
 def _write_csv(table: _Table) -> None:
-    """The table, header first, through one csv.writer straight to stdout;
-    nothing at all for an empty table."""
-    rows = iter(table.rows)
-    first = next(rows, None)
-    if first is None:
-        return
-    writer = csv.writer(sys.stdout)
-    writer.writerow(table.header)
-    writer.writerow(first)
-    writer.writerows(rows)
+    """The table, header first; nothing at all for an empty table.  No
+    cell needs quoting: they are integers, true, false or empty."""
+    header = ",".join(table.header) + "\r\n"
+    _write_rows(table, lambda cells: ("", "," + ",".join(cells) + "\r\n"), "", header, "", "")
+
+
+def _write_json(report, table: _Table) -> None:
+    """The report with the table's row objects at ``result[table.key]``,
+    byte for byte as ``json.dump(sort_keys=True, indent=2)`` writes it."""
+    quote = json.encoder.encode_basestring_ascii  # how json.dump writes a str
+    hole = quote(_HOLE)[1:-1]  # the lead cell's text goes inside its quotes
+
+    def around(cells):
+        # a row object sits at depth 3 of the report, its fields at depth 4
+        fields = sorted(zip(table.header, (_HOLE, *cells)))
+        text = "".join(f"\n        {quote(k)}: {quote(v)}," for k, v in fields)
+        return f"      {{{text[:-1]}\n      }}".split(hole)
+
+    report["result"][table.key] = _HOLE
+    before, after = json.dumps(report, sort_keys=True, indent=2).split(quote(_HOLE))
+    sys.stdout.write(before)
+    _write_rows(table, around, ",\n", "[\n", "\n    ]", "[]")
+    sys.stdout.write(after)
 
 
 # ---------------------------------------------------------------------------
@@ -174,10 +218,10 @@ def _h_idf_scan(ns):
     )
     k = ns.k
     witnesses = scan_witnesses(ns.dmin, ns.dmax, k, jobs=ns.jobs)
-    rows = (
-        (d, k, "false", "", "", "") if w is None else (d, k, "true", w.p, w.r, w.e)
-        for d, w in witnesses
-    )
+
+    def cells(w):
+        return (k, "false", "", "", "") if w is None else (k, "true", w.p, w.r, w.e)
+
     payload = {
         "dmin": ns.dmin,
         "dmax": ns.dmax,
@@ -185,12 +229,13 @@ def _h_idf_scan(ns):
         "exceptions": [d for d, w in witnesses if w is None],
         "range_note": "certifies only the scanned range; larger d are not decided",
     }
-    return payload, "OK", EXIT_OK, _Table("rows", ("d", "k", "has_idf", "p", "r", "e"), rows)
+    table = _Table("rows", ("d", "k", "has_idf", "p", "r", "e"), witnesses, cells)
+    return payload, "OK", EXIT_OK, table
 
 
 def _h_idf_mordell(ns):
-    rows = ((m.x, m.y, m.b, m.c, m.d) for m in mordell_candidates(ns.xmax))
-    table = _Table("candidates", ("x", "y", "b", "c", "d"), rows)
+    rows = [(m.x, m) for m in mordell_candidates(ns.xmax)]
+    table = _Table("candidates", ("x", "y", "b", "c", "d"), rows, lambda m: (m.y, m.b, m.c, m.d))
     return {"xmax": ns.xmax}, "OK", EXIT_OK, table
 
 
@@ -424,14 +469,10 @@ def main(argv=None) -> int:
             "result": payload,
             "timings": {"elapsed_us": elapsed_us},
         }
-        exact = _exact(report)
-        if table is not None:
-            # the rows, most of a scan report, are made exact in one pass
-            text = _Text()
-            exact["result"][table.key] = [
-                dict(zip(table.header, map(text.__getitem__, row))) for row in table.rows
-            ]
-        json.dump(exact, sys.stdout, sort_keys=True, indent=2)
+        if table is None:
+            json.dump(_exact(report), sys.stdout, sort_keys=True, indent=2)
+        else:
+            _write_json(_exact(report), table)
         sys.stdout.write("\n")
     except BrokenPipeError:
         print("error: stdout was closed before the report was written", file=sys.stderr)

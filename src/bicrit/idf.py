@@ -29,7 +29,7 @@ from math import gcd, isqrt
 from operator import not_
 from typing import NamedTuple
 
-from .arith import factor, is_prime
+from .arith import factor, is_prime, primes_upto
 from .errors import DomainError, ResourceBudgetError
 
 __all__ = [
@@ -49,8 +49,8 @@ __all__ = [
 
 
 # scan_witnesses returns one (d, witness) pair per degree, about 100 bytes
-# each: an `idf scan` run peaks at about 120 bytes a degree as CSV (76 MB
-# at this limit) and about 480 as JSON (260 MB), whose rows are objects
+# each: an `idf scan` run peaks at about 120 bytes a degree as CSV or as
+# JSON (74 MB at this limit), whose rows are written as text in chunks
 SCAN_DMAX_LIMIT = 500_000
 
 
@@ -145,15 +145,6 @@ def find_idf_prime(d: int, k: int) -> IdfWitness | None:
 SEGMENT = 1 << 17
 
 
-def _primes_upto(n: int) -> list[int]:
-    sieve = bytearray([1]) * (n + 1)
-    sieve[:2] = bytes(2)
-    for i in range(2, isqrt(n) + 1):
-        if sieve[i]:
-            sieve[i * i :: i] = bytes(len(range(i * i, n + 1, i)))
-    return list(compress(range(n + 1), sieve))
-
-
 def _rough_factor(m: int, smooth: int, primes: list[int]) -> list[tuple[int, int]]:
     """(prime, exponent) pairs of m // gcd(m, smooth), in increasing order.
 
@@ -186,7 +177,7 @@ def _scan_segment(args):
     """
     lo, hi, k = args
     n = hi - lo + 1
-    primes = _primes_upto(isqrt(hi))
+    primes = primes_upto(isqrt(hi))
     small = [q for q in primes if q <= k]
     # the least prime q above k, with its exponent, for every d that one of
     # the base primes (k, sqrt(hi)] divides: larger primes and lower powers
@@ -319,28 +310,46 @@ class MordellCandidate(NamedTuple):
         )
 
 
+# (q, [is r a square mod q for r = 1, ..., q - 1]) for the primes
+# 5 <= q < 32: at x_max = 42,000 they leave about 50 of the X of each
+# (B, C) pair to the exact test
+_SQUARE_CLASSES = [
+    (q, [pow(r, (q - 1) // 2, q) == 1 for r in range(1, q)]) for q in primes_upto(31)[2:]
+]
+
+
 def mordell_candidates(x_max: int) -> list[MordellCandidate]:
     """Enumerate B*Y^2 = C*X^3 + 1 over 2 <= X <= x_max with d >= 7.
 
-    Bounded search in X with an exact square test; sorted by the derived
-    degree d.
+    Bounded search in X, sorted by the derived degree d.  For each (B, C)
+    the X with B | C*X^3 + 1 are marked; those whose (C*X^3 + 1)/B is a
+    nonsquare modulo a prime 5 <= q < 32 are struck out a residue class
+    at a time, and only the rest get the exact square test.
     """
     if x_max < 2:
         return []
+    n = x_max + 1
     out = []
-    for x in range(2, x_max + 1):
-        x3 = x**3
+    for b in MORDELL_B_SET:
         for c in MORDELL_C_SET:
-            rhs = c * x3 + 1
-            if c * x3 < 4:
-                continue
-            for b in MORDELL_B_SET:
-                if rhs % b:
-                    continue
-                y2 = rhs // b
-                y = isqrt(y2)
-                if y * y == y2:
+            marks = bytearray(n)
+            for r in range(b):
+                if (c * r**3 + 1) % b == 0:
+                    marks[r::b] = b"\1" * len(range(r, n, b))
+            marks[:2] = bytes(2)
+            for q, is_square in _SQUARE_CLASSES:
+                b_inv = pow(b, -1, q)
+                for r in range(min(q, n)):
+                    v = (c * r**3 + 1) * b_inv % q
+                    if v and not is_square[v - 1]:
+                        marks[r::q] = bytes(len(range(r, n, q)))
+            x = marks.find(1)
+            while x >= 0:
+                rhs = c * x**3 + 1
+                y = isqrt(rhs // b)
+                if b * y * y == rhs:
                     out.append(MordellCandidate(x, y, b, c))
+                x = marks.find(1, x + 1)
     out.sort(key=lambda m: (m.d, m.b, m.c))
     return out
 

@@ -1,7 +1,8 @@
+import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bicrit.arith
@@ -14,6 +15,7 @@ from bicrit.arith import (
     val_p,
 )
 from bicrit.errors import DomainError, ResourceBudgetError
+from util import trial_factor
 
 SMALL_PRIMES = [p for p in range(2, 101) if is_prime(p)]
 
@@ -91,6 +93,56 @@ class TestFactor:
         n = primes[0] * primes[1] * primes[2] * primes[3]
         with pytest.raises(ResourceBudgetError):
             factor(n)
+
+
+def _timed(fn, *args):
+    started = time.perf_counter()
+    fn(*args)
+    return time.perf_counter() - started
+
+
+def next_prime(n):
+    while not is_prime(n):
+        n += 1
+    return n
+
+
+# primes past the trial-division table, which Brent's rho splits off
+MEDIUM_PRIMES = st.integers(1 << 10, 999_983).map(next_prime)
+MEDIUM_POWERS = st.builds(pow, MEDIUM_PRIMES, st.integers(1, 4))
+LARGE_PRIMES = st.integers(1 << 39, 1 << 61).map(next_prime)
+
+
+class TestFactorOracle:
+    # factor against trial division by every odd number up to 10**6
+
+    @settings(max_examples=60, deadline=None)
+    @given(MEDIUM_POWERS)
+    @example(1031**2)
+    @example(999_983**4)
+    def test_prime_powers(self, n):
+        # Brent's rho must split p^e into its prime, never return n itself
+        assert factor(n).factors == trial_factor(n)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(MEDIUM_POWERS, min_size=1, max_size=3), LARGE_PRIMES)
+    def test_products_with_a_large_prime(self, powers, large):
+        # one large prime: two would leave rho a 2^20- to 2^30-step split
+        n = large
+        for m in powers:
+            n *= m
+        assert factor(n).factors == trial_factor(n)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, (1 << 64) - 1))
+    def test_random_below_2_64(self, n):
+        assert factor(n).factors == trial_factor(n)
+
+    def test_mersenne_61_without_trial_division_to_a_million(self):
+        n = 2**61 - 1
+        best = min(_timed(factor, n) for _ in range(3))
+        assert factor(n).factors == ((n, 1),)
+        assert best < 0.01
 
 
 class TestIsPrime:

@@ -1,17 +1,24 @@
+import contextlib
 import io
 import json
 import os
 import subprocess
 import sys
 import time
+from unittest.mock import patch
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import bicrit
 import bicrit.arith
+import bicrit.idf
 import bicrit.pcf
 from bicrit.arith import DETERMINISTIC_PRIME_BOUND
 from bicrit.cli import COMMANDS, GROUPS, main
 from bicrit.idf import SCAN_DMAX_LIMIT
-from util import dual_orbit_solutions
+from util import SCAN_HEADER, csv_table, dual_orbit_solutions, loop_mordell, scan_rows
 
 # two ~60-bit primes: Brent's rho would need about 2^30 steps to split P * Q
 P, Q = 576460752303435851, 1152921504606945751
@@ -339,6 +346,55 @@ class TestCsv:
         by_d = {row["d"]: row for row in rep["result"]["rows"]}
         assert by_d["27"]["has_idf"] == "false"
         assert by_d["26"]["has_idf"] == "true"
+
+
+def stdout_of(*argv):
+    """(exit code, stdout) of main(argv), without pytest's capture fixtures."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(list(argv))
+    return code, out.getvalue()
+
+
+def check_table(argv, key, header, rows):
+    """The CSV and JSON forms of a table command against csv.writer and
+    json.dump of the oracle's rows."""
+    code, out = stdout_of(*argv, "--format", "csv")
+    assert code == 0 and out == csv_table(header, rows)
+    code, out = stdout_of(*argv)
+    report = json.loads(out)
+    report["result"][key] = [dict(zip(header, row)) for row in rows]
+    assert code == 0 and out == json.dumps(report, sort_keys=True, indent=2) + "\n"
+    return report
+
+
+class TestTableOracle:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        k=st.integers(1, 12),
+        d_min=st.integers(0, 3000),
+        length=st.integers(-2, 1500),
+        jobs=st.sampled_from((1, 2)),
+        segment=st.sampled_from((64, 1000, bicrit.idf.SEGMENT)),
+    )
+    @example(k=3, d_min=2, length=4, jobs=1, segment=bicrit.idf.SEGMENT)  # no valid degree
+    @example(k=3, d_min=20, length=10, jobs=2, segment=bicrit.idf.SEGMENT)  # d = 27
+    # two segments of the real length, one for each worker
+    @example(k=2, d_min=0, length=bicrit.idf.SEGMENT + 500, jobs=2, segment=bicrit.idf.SEGMENT)
+    def test_scan(self, k, d_min, length, jobs, segment):
+        d_max = d_min + length
+        rows = scan_rows(d_min, d_max, k)
+        argv = ["idf", "scan", "--k", str(k), "--dmin", str(d_min), "--dmax", str(d_max),
+                "--jobs", str(jobs)]
+        with patch.object(bicrit.idf, "SEGMENT", segment):
+            report = check_table(argv, "rows", SCAN_HEADER, rows)
+        assert report["result"]["exceptions"] == [row[0] for row in rows if row[2] == "false"]
+
+    @pytest.mark.parametrize("x_max", [1, 2, 100, 1000])
+    def test_mordell(self, x_max):
+        rows = [tuple(map(str, (m.x, m.y, m.b, m.c, m.d))) for m in loop_mordell(x_max)]
+        argv = ["idf", "mordell", "--xmax", str(x_max)]
+        check_table(argv, "candidates", ("x", "y", "b", "c", "d"), rows)
 
 
 class TestHelp:

@@ -3,7 +3,7 @@ from math import isqrt
 from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bicrit.idf
@@ -20,7 +20,7 @@ from bicrit.idf import (
     scan_exceptions,
     scan_witnesses,
 )
-from util import spf_sieve, spf_witness
+from util import loop_mordell, spf_sieve, spf_witness
 
 MORDELL_TABLE = [
     (2, 3, 1, 1, 11),
@@ -240,6 +240,17 @@ class TestMordell:
 
     def test_empty_below_two(self):
         assert mordell_candidates(1) == []
+
+    @pytest.mark.parametrize("x_max", range(4))
+    def test_tiny_ranges_match_the_loop(self, x_max):
+        assert mordell_candidates(x_max) == loop_mordell(x_max)
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(0, 50_000))
+    @example(50_000)
+    def test_sieve_matches_the_loop(self, x_max):
+        # the residue-class sieve leaves every solution to the exact test
+        assert mordell_candidates(x_max) == loop_mordell(x_max)
 
     def test_invariants(self):
         for m in mordell_candidates(200):

@@ -1,11 +1,14 @@
 """Shared test oracles, independent of the implementation paths they check."""
 
+import csv
+import io
 from fractions import Fraction
 from math import factorial, isqrt
 
-from bicrit.arith import ExtVal
+from bicrit.arith import RHO_STEP_LIMIT, ExtVal, _brent, is_prime
 from bicrit.belyi import belyi_coeffs
-from bicrit.errors import DomainError
+from bicrit.errors import DomainError, ResourceBudgetError
+from bicrit.idf import MORDELL_B_SET, MORDELL_C_SET, MordellCandidate
 from bicrit.polyring import SparsePoly, UniPoly
 from bicrit.valdyn import CaseTag, ValParams, classify_case
 
@@ -266,6 +269,75 @@ def spf_witness(d, k, spf):
             if p > k and (r == 0 or e % r != 0):
                 return (p, r, e)
     return None
+
+
+def trial_factor(n):
+    """The (p, e) pairs of n >= 2, by trial division by 2 and every odd
+    number up to 10**6, then Brent's rho on the cofactor under the same
+    shared step budget as factor."""
+    counts = {}
+    m = n
+    d = 2
+    while d <= 10**6 and d * d <= m:
+        while m % d == 0:
+            counts[d] = counts.get(d, 0) + 1
+            m //= d
+        d = 3 if d == 2 else d + 2
+    budget = RHO_STEP_LIMIT
+    stack = [m] if m > 1 else []
+    while stack:
+        v = stack.pop()
+        if is_prime(v):
+            counts[v] = counts.get(v, 0) + 1
+            continue
+        g, steps = _brent(v, budget)
+        if g is None:
+            raise ResourceBudgetError(f"factoring {n}: the cofactor {v} is left unsplit")
+        budget -= steps
+        stack += [g, v // g]
+    return tuple(sorted(counts.items()))
+
+
+def loop_mordell(x_max):
+    """B*Y^2 = C*X^3 + 1 over 2 <= X <= x_max, by a divisibility and an
+    exact square test for every (X, B, C), sorted by (d, B, C)."""
+    out = []
+    for x in range(2, x_max + 1):
+        for c in MORDELL_C_SET:
+            rhs = c * x**3 + 1
+            for b in MORDELL_B_SET:
+                if rhs % b == 0:
+                    y = isqrt(rhs // b)
+                    if b * y * y == rhs:
+                        out.append(MordellCandidate(x, y, b, c))
+    out.sort(key=lambda m: (m.d, m.b, m.c))
+    return out
+
+
+SCAN_HEADER = ("d", "k", "has_idf", "p", "r", "e")
+
+
+def scan_rows(d_min, d_max, k):
+    """The rows of ``idf scan`` off a smallest-prime-factor table, as
+    tuples of strings in SCAN_HEADER order."""
+    spf = spf_sieve(max(d_max, 1))
+    rows = []
+    for d in range(max(d_min, 2 * k + 1), d_max + 1):
+        w = spf_witness(d, k, spf)
+        cells = ("false", "", "", "") if w is None else ("true", *w)
+        rows.append(tuple(map(str, (d, k, *cells))))
+    return rows
+
+
+def csv_table(header, rows):
+    """A table as csv.writer writes it, header first; "" for no rows."""
+    if not rows:
+        return ""
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue()
 
 
 def _int_val_fast(n, p):
