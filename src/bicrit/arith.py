@@ -18,7 +18,6 @@ from .errors import DomainError, ResourceBudgetError
 __all__ = [
     "DETERMINISTIC_PRIME_BOUND",
     "ExtVal",
-    "Factorization",
     "INFINITY",
     "factor",
     "is_prime",
@@ -82,47 +81,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-class Factorization:
-    """Prime factorization ``n = prod p^e`` with strictly increasing primes;
-    immutable.  Iterating yields the (p, e) pairs (a plain class: a
-    NamedTuple's length, indexing and ``in`` would see (n, factors))."""
-
-    __slots__ = _fields = ("n", "factors")
-
-    def __init__(self, n: int, factors: tuple[tuple[int, int], ...]):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "factors", factors)
-
-    def __setattr__(self, *_):
-        raise AttributeError("a Factorization is immutable")
-
-    __delattr__ = __setattr__
-
-    def __repr__(self):
-        return f"Factorization(n={self.n!r}, factors={self.factors!r})"
-
-    def __eq__(self, other):
-        return type(other) is Factorization and (self.n, self.factors) == (other.n, other.factors)
-
-    def __hash__(self):
-        return hash((self.n, self.factors))
-
-    def __reduce__(self):
-        return Factorization, (self.n, self.factors)
-
-    def __iter__(self):
-        return iter(self.factors)
-
-    def primes(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.factors)
-
-    def recompose(self) -> int:
-        out = 1
-        for p, e in self.factors:
-            out *= p**e
-        return out
-
-
 def _brent(n: int, budget: int) -> tuple[int | None, int]:
     """(g, steps): a nontrivial divisor g of an odd composite n (Brent's rho)
     and the steps taken; g is None once the next round would pass ``budget``.
@@ -162,8 +120,9 @@ def _brent(n: int, budget: int) -> tuple[int | None, int]:
     raise ArithmeticError(f"rho parameter sweep exhausted for {n}")
 
 
-def factor(n: int) -> Factorization:
-    """Factor an integer n >= 2 into primes.
+def factor(n: int) -> tuple[tuple[int, int], ...]:
+    """The (p, e) pairs of n = prod p^e for an integer n >= 2, in increasing
+    order of p.
 
     Trial division by the primes below 2**10 followed by Brent's rho for
     any remaining cofactor; every reported prime passes :func:`is_prime`.
@@ -200,7 +159,7 @@ def factor(n: int) -> Factorization:
                 budget -= steps
                 stack.append(g)
                 stack.append(v // g)
-    return Factorization(n, tuple(sorted(counts.items())))
+    return tuple(sorted(counts.items()))
 
 
 class ExtVal:

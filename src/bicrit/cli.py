@@ -53,10 +53,8 @@ def _exact(obj):
     """The JSON form of a report value: integers and rationals as strings."""
     if obj is None or isinstance(obj, (bool, str)):
         return obj
-    if isinstance(obj, (int, Fraction)):
+    if isinstance(obj, (int, Fraction, ExtVal)):
         return str(obj)
-    if isinstance(obj, ExtVal):
-        return "inf" if obj.is_infinite else str(obj.finite)
     if isinstance(obj, FieldElem):
         return [str(c) for c in obj.coeffs]
     if hasattr(obj, "_fields"):  # a record, before the tuple it may be
@@ -411,6 +409,8 @@ COMMANDS = [
     }),
     ("pcf", "counterexamples", _h_pcf_counterexamples, "n-critical failure checks", {}),
 ]
+# the commands whose handlers return a table, the only ones with CSV output
+_TABLES = {("idf", "scan"), ("idf", "mordell")}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -441,6 +441,9 @@ def main(argv=None) -> int:
         ns = parser.parse_args(argv)
     except SystemExit as ex:
         return EXIT_USAGE if ex.code not in (0, None) else EXIT_OK
+    if ns.format == "csv" and (ns.group, ns.cmd) not in _TABLES:
+        print("error: csv output is available for scan tables only", file=sys.stderr)
+        return EXIT_USAGE
 
     started = time.perf_counter()
     try:
@@ -450,9 +453,6 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     elapsed_us = int((time.perf_counter() - started) * 1_000_000)
 
-    if ns.format == "csv" and table is None:
-        print("error: csv output is available for scan tables only", file=sys.stderr)
-        return EXIT_USAGE
     try:
         if ns.format == "csv":
             _write_csv(table)

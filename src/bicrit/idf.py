@@ -37,6 +37,7 @@ __all__ = [
     "IdfWitness",
     "MORDELL_B_SET",
     "MORDELL_C_SET",
+    "MORDELL_XMAX_LIMIT",
     "MordellCandidate",
     "SCAN_DMAX_LIMIT",
     "conjecture_check",
@@ -288,6 +289,12 @@ def scan_exceptions(d_min: int, d_max: int, k: int, jobs: int = 1) -> list[int]:
 MORDELL_B_SET = (1, 2, 3, 6)
 MORDELL_C_SET = (1, 2, 3, 4, 6, 9, 12, 18, 36)
 
+# mordell_candidates marks the X of one (B, C) pair at a time in a
+# bytearray of x_max + 1 bytes, beside a slice of up to as many: an `idf
+# mordell` run peaks at about 3 bytes an X (about 72 MB at this limit, as
+# the scan at SCAN_DMAX_LIMIT) and takes about 5 s at it
+MORDELL_XMAX_LIMIT = 20_000_000
+
 
 class MordellCandidate(NamedTuple):
     """Solution of B*Y^2 = C*X^3 + 1; the associated degree is d = C*X^3 + 3."""
@@ -324,8 +331,14 @@ def mordell_candidates(x_max: int) -> list[MordellCandidate]:
     Bounded search in X, sorted by the derived degree d.  For each (B, C)
     the X with B | C*X^3 + 1 are marked; those whose (C*X^3 + 1)/B is a
     nonsquare modulo a prime 5 <= q < 32 are struck out a residue class
-    at a time, and only the rest get the exact square test.
+    at a time, and only the rest get the exact square test.  An x_max
+    above ``MORDELL_XMAX_LIMIT`` is refused before anything is marked.
     """
+    if x_max > MORDELL_XMAX_LIMIT:
+        raise ResourceBudgetError(
+            f"a Mordell search up to X = {x_max} marks every X of each (B, C) "
+            f"pair; the limit is {MORDELL_XMAX_LIMIT}"
+        )
     if x_max < 2:
         return []
     n = x_max + 1

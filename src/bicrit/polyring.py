@@ -37,6 +37,7 @@ Provides
 
 from __future__ import annotations
 
+import operator
 import random
 from fractions import Fraction
 from itertools import product
@@ -152,22 +153,29 @@ def _zx_exact_div(t, d, mod=None):
     return q
 
 
+def _power(base, n: int, one, mul):
+    """base^n for n >= 0 by square-and-multiply from ``one``: ``mul(x, y)``
+    forms every product, with the partial result on the left.  Callers pass
+    ``operator.mul`` for a class, so that the product is looked up on the
+    class when it is taken."""
+    result = one
+    while n:
+        if n & 1:
+            result = mul(result, base)
+        n >>= 1
+        if n:
+            base = mul(base, base)
+    return result
+
+
 def _zx_pow(a, k: int, mod=None, f=None):
-    """a^k by repeated squaring, k >= 0; with a nonzero f, a^k mod f."""
-    if f is not None:
-        a = _zx_divmod(a, f, mod)[1]
-    out = [1]
-    while k:
-        if k & 1:
-            out = _zx_mul_sub(out, a, [], [], mod)
-            if f is not None:
-                out = _zx_divmod(out, f, mod)[1]
-        k >>= 1
-        if k:
-            a = _zx_mul_sub(a, a, [], [], mod)
-            if f is not None:
-                a = _zx_divmod(a, f, mod)[1]
-    return out
+    """a^k, k >= 0; with a nonzero f, a^k mod f."""
+
+    def times(x, y):
+        xy = _zx_mul_sub(x, y, [], [], mod)
+        return xy if f is None else _zx_divmod(xy, f, mod)[1]
+
+    return _power(a if f is None else _zx_divmod(a, f, mod)[1], k, [1], times)
 
 
 def _zx_gcd(a, b, mod):
@@ -342,23 +350,10 @@ class FieldElem:
         inv = pow(r1[0], -1, p)
         return self.field.elem([c * inv for c in s1])
 
-    def __truediv__(self, other):
-        if not self._same_field(other):
-            return NotImplemented
-        return self * other.inverse()
-
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        result = self.field.one
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return _power(self, n, self.field.one, operator.mul)
 
     def __eq__(self, other):
         if not self._same_field(other):
@@ -425,15 +420,10 @@ def _fx_gcd(a, b):
 
 
 def _fx_powmod(base, n: int, modulus, field):
-    result = [field.one]
-    base = _fx_divmod(base, modulus)[1]
-    while n:
-        if n & 1:
-            result = _fx_divmod(_fx_mul(result, base, field), modulus)[1]
-        n >>= 1
-        if n:
-            base = _fx_divmod(_fx_mul(base, base, field), modulus)[1]
-    return result
+    return _power(
+        _fx_divmod(base, modulus)[1], n, [field.one],
+        lambda x, y: _fx_divmod(_fx_mul(x, y, field), modulus)[1],
+    )
 
 
 def _fx_split(f, field, rng: random.Random):
@@ -618,15 +608,7 @@ class UniPoly:
     def __pow__(self, n: int):
         if n < 0:
             raise DomainError("negative polynomial power")
-        result = UniPoly((1,))
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return _power(self, n, UniPoly((1,)), operator.mul)
 
     def __eq__(self, other):
         if not isinstance(other, UniPoly):
@@ -888,7 +870,7 @@ class NewtonPolygon(NamedTuple):
     def root_valuations(self) -> list[tuple[ExtVal, int]]:
         """(valuation, multiplicity) pairs, finite ascending, INFINITY last."""
         out = [(ExtVal(-seg.slope), seg.length) for seg in self.segments]
-        out.sort(key=lambda t: t[0]._cmp_key())
+        out.sort(key=lambda t: t[0])
         if self.vanishing_order:
             out.append((INFINITY, self.vanishing_order))
         return out
@@ -1062,15 +1044,7 @@ class SparsePoly:
     def __pow__(self, n: int):
         if n < 0:
             raise DomainError("negative polynomial power")
-        result = self._operand(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return _power(self, n, self._operand(1), operator.mul)
 
     def __eq__(self, other):
         if not isinstance(other, SparsePoly):

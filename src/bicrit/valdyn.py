@@ -78,8 +78,8 @@ class _ValFields(NamedTuple):
 class ValParams(_ValFields):
     """IDF data (d, k, r, e) together with parameter valuations.
 
-    Validity requires some prime p > k with v_p(d - r) exactly e, r != 1,
-    and r not dividing e; the constructor raises DomainError otherwise.
+    Validity requires a prime p with IdfWitness(p, r, e) holding for
+    (d, k); the constructor raises DomainError otherwise.
     """
 
     __slots__ = ()
@@ -87,20 +87,13 @@ class ValParams(_ValFields):
     _make = classmethod(lambda cls, fields: cls(*fields))
 
     def __new__(cls, d: int, k: int, r: int, e: int, v_alpha: ExtVal, v_beta: ExtVal):
-        if d < 3 or not 1 <= k <= (d - 1) // 2:
-            raise DomainError(f"invalid (d, k) = ({d}, {k})")
-        if not 0 <= r <= k or r == 1:
-            raise DomainError(f"invalid index r = {r}")
-        if e < 1:
-            raise DomainError("exponent e must be >= 1")
-        if r >= 2 and e % r == 0:
-            raise DomainError(f"r = {r} divides e = {e}: not an IDF witness")
-        if not any(p > k and ee == e for p, ee in factor(d - r)):
-            raise DomainError(
-                f"no prime p > {k} has v_p({d - r}) = {e}: not an IDF witness"
-            )
         if not isinstance(v_alpha, ExtVal) or not isinstance(v_beta, ExtVal):
             raise DomainError("parameter valuations must be ExtVal")
+        # a bound on r, so that d - r >= 2 is factored and no larger
+        if not 0 <= r <= k < d - 1:
+            raise DomainError(f"invalid index r = {r} for (d, k) = ({d}, {k})")
+        if not any(IdfWitness(p, r, e).holds_for(d, k) for p, _ in factor(d - r)):
+            raise DomainError(f"no prime p makes (p, {r}, {e}) an IDF witness for ({d}, {k})")
         return super().__new__(cls, d, k, r, e, v_alpha, v_beta)
 
 
@@ -169,14 +162,10 @@ def classify_case(params: ValParams) -> CaseTag:
         return CaseTag.CASE3
     # v_b < 0 < v_a
     d, r, e = params.d, params.r, params.e
-    m = min(
-        (va + e + d * vb)._cmp_key(),
-        (va + (d - r) * vb)._cmp_key(),
-    )
-    target = vb._cmp_key()
-    if m < target:
+    m = min(va + e + d * vb, va + (d - r) * vb)
+    if m < vb:
         return CaseTag.CASE4I
-    if m > target:
+    if m > vb:
         return CaseTag.CASE4II
     return CaseTag.CASE4III
 
@@ -308,7 +297,10 @@ def check_shift_valuations(
     """
     alpha, beta, x, y = map(Fraction, (alpha, beta, x, y))
     va, vb = val_p(alpha, p), val_p(beta, p)
-    r, e = find_witness_data(d, k, p)
+    w = is_idf_prime(p, d, k)
+    if not isinstance(w, IdfWitness):
+        raise DomainError(f"{p} is not an IDF prime for ({d}, {k}): {w.reason}")
+    r, e = w.r, w.e
     if not (vb < 0 < va):
         raise DomainError("hypotheses need v(beta) < 0 < v(alpha)")
     m = min(va + e + d * vb, va + (d - r) * vb)
@@ -335,11 +327,3 @@ def check_shift_valuations(
         "h_bound_ok": h_val >= va,
         "orbit_bound_ok": f_val >= vb,
     }
-
-
-def find_witness_data(d: int, k: int, p: int) -> tuple[int, int]:
-    """(r, e) for the prime p as an IDF prime of (d, k)."""
-    res = is_idf_prime(p, d, k)
-    if not isinstance(res, IdfWitness):
-        raise DomainError(f"{p} is not an IDF prime for ({d}, {k}): {res.reason}")
-    return res.r, res.e

@@ -13,8 +13,10 @@ from hypothesis import strategies as st
 
 import bicrit
 import bicrit.arith
+import bicrit.cli
 import bicrit.idf
 import bicrit.pcf
+import bicrit.polyring
 from bicrit.arith import DETERMINISTIC_PRIME_BOUND
 from bicrit.cli import COMMANDS, GROUPS, main
 from bicrit.idf import SCAN_DMAX_LIMIT
@@ -118,7 +120,7 @@ class TestExitCodes:
 
     def test_transversality_without_solutions_is_usage_error(self, capsys, monkeypatch):
         def no_solutions(d, k, n, m, witness, e=1, budget=1_000_000):
-            return bicrit.pcf.SolveModResult(bicrit.GF(witness.p, e), (), 0)
+            return bicrit.pcf.SolveModResult(bicrit.polyring.GF(witness.p, e), (), 0)
 
         monkeypatch.setattr(bicrit.pcf, "solve_mod", no_solutions)
         assert main(
@@ -150,7 +152,7 @@ class TestExitCodes:
         assert code == 0 and rep["verdict"] == "PASS"
         assert rep["inputs"]["budget"] == "100000"
         for e, res in enumerate(rep["result"]["per_field"][:4], 1):
-            field = bicrit.GF(3, e)
+            field = bicrit.polyring.GF(3, e)
             want = dual_orbit_solutions(3, 1, 2, 1, field)
             got = [[s["alpha"], s["beta"], s["jacobian"]] for s in res["solutions"]]
             assert got == [[[str(c) for c in x.coeffs] for x in sol] for sol in want]
@@ -194,11 +196,40 @@ class TestExitCodes:
         assert time.perf_counter() - start < 1
         assert f"the limit is {SCAN_DMAX_LIMIT}" in capsys.readouterr().err
 
+    def test_mordell_past_the_limit_is_usage_error(self, capsys, monkeypatch):
+        # a bytearray of 10^15 bytes would end in a MemoryError, exit 1
+        assert main(["idf", "mordell", "--xmax", str(10**15)]) == 2
+        assert f"the limit is {bicrit.idf.MORDELL_XMAX_LIMIT}" in capsys.readouterr().err
+        monkeypatch.setattr(bicrit.idf, "MORDELL_XMAX_LIMIT", 1000)
+        assert main(["idf", "mordell", "--xmax", "1001", "--format", "csv"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "the limit is 1000" in err
+        assert main(["idf", "mordell", "--xmax", "1000", "--format", "csv"]) == 0
+
     def test_csv_only_for_tables(self, capsys):
         assert main(
             ["pcf", "integrality", "--d", "3", "--k", "1", "--n", "1", "--m", "1",
              "--format", "csv"]
         ) == 2
+
+    def test_csv_refused_before_the_handler_runs(self, capsys, monkeypatch):
+        calls = []
+
+        def stand_in(ns):
+            calls.append(ns)
+            return {}, "PASS", 0, None
+
+        commands = [
+            (group, cmd, stand_in if (group, cmd) == ("pcf", "integrality") else handler, *rest)
+            for group, cmd, handler, *rest in COMMANDS
+        ]
+        monkeypatch.setattr(bicrit.cli, "COMMANDS", commands)
+        argv = ["pcf", "integrality", "--d", "3", "--k", "1", "--n", "3", "--m", "3"]
+        assert main([*argv, "--format", "csv"]) == 2
+        assert calls == []
+        out, err = capsys.readouterr()
+        assert out == "" and "csv output is available for scan tables only" in err
+        assert main(argv) == 0 and len(calls) == 1
 
 
 class _ClosedPipe(io.StringIO):
@@ -425,20 +456,29 @@ class TestHelp:
                 assert f"--{name}" in out
 
 
-def test_cli_does_not_import_dataclasses():
+def fresh_modules(statement):
+    """The modules a fresh interpreter has loaded after ``statement``."""
     # -S: no site hooks, whose imports are not bicrit's
     src = os.path.dirname(os.path.dirname(bicrit.__file__))
-    probe = (
-        "import json, sys, bicrit.cli; bicrit.cli.build_parser(); "
-        "print(json.dumps(list(sys.modules)))"
-    )
     out = subprocess.run(
-        [sys.executable, "-S", "-c", probe],
+        [sys.executable, "-S", "-c",
+         f"import json, sys; {statement}; print(json.dumps(list(sys.modules)))"],
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=src),
         timeout=60,
         check=True,
     ).stdout
-    modules = json.loads(out)
+    return set(json.loads(out))
+
+
+def test_cli_does_not_import_dataclasses():
+    modules = fresh_modules("import bicrit.cli; bicrit.cli.build_parser()")
     assert "bicrit.cli" in modules and "dataclasses" not in modules
+
+
+def test_idf_loads_no_other_layer():
+    modules = fresh_modules("import bicrit.idf")
+    assert "bicrit.idf" in modules
+    unused = {"bicrit.pcf", "bicrit.polyring", "bicrit.belyi", "bicrit.valdyn", "random"}
+    assert not modules & unused

@@ -285,4 +285,4 @@ class TestConjecture:
             delta = n * (n - 1) * (n - 2) * (n - 3)
             assert delta % w.p == 0
             assert (n - w.r) % w.p == 0
-            assert dict(factor(n - w.r).factors)[w.p] == w.e
+            assert dict(factor(n - w.r))[w.p] == w.e

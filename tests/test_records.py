@@ -30,7 +30,6 @@ def _params():
 
 # one or more instances of every public record, each built afresh per call
 RECORDS = {
-    "Factorization": lambda: factor(360),
     "BelyiPoly": lambda: belyi_coeffs(5, 2),
     "NCriticalForm": lambda: ncritical_form(5, [1, 1], [Fraction(1, 2)]),
     "NCriticalForm/symbolic": lambda: ncritical_form(5, [1, 1]),
@@ -54,7 +53,7 @@ RECORDS = {
 UNHASHABLE = {"CriticalOrbitPoly", "ShiftDecomposition"}
 # records whose every field the CLI can serialize
 SERIALIZABLE = {
-    "Factorization", "BelyiPoly", "NCriticalForm", "IdfWitness", "IdfRejection",
+    "BelyiPoly", "NCriticalForm", "IdfWitness", "IdfRejection",
     "MordellCandidate", "FiniteSolution", "NCritCounterexampleReport",
     "NewtonPolygon", "Segment", "TropVal", "ValParams",
 }
@@ -73,7 +72,7 @@ def test_every_public_record_is_covered():
         if hasattr(getattr(module, name), "_fields")
     }
     assert public == {key.split("/")[0] for key in RECORDS}
-    assert len(public) == 18
+    assert len(public) == 17
 
 
 @pytest.mark.parametrize("key", sorted(RECORDS))
@@ -122,14 +121,14 @@ def test_exact_nests_records():
     exact = _exact({"witness": IdfWitness(3, 2, 1), "polygon": RECORDS["NewtonPolygon"]()})
     assert exact["witness"] == {"p": "3", "r": "2", "e": "1"}
     assert exact["polygon"]["segments"] == [{"slope": "-1", "length": "2"}]
-    assert _exact(factor(12)) == {"n": "12", "factors": [["2", "2"], ["3", "1"]]}
+    assert _exact(factor(12)) == [["2", "2"], ["3", "1"]]
 
 
 def test_factorization_iterates_its_factors():
+    # factor returns the (p, e) pairs themselves, with no n beside them
     f = factor(360)
-    assert list(f) == [(2, 3), (3, 2), (5, 1)]
+    assert f == ((2, 3), (3, 2), (5, 1))
     assert (3, 2) in f and 360 not in f
-    assert f != (360, f.factors)
 
 
 def test_holds_for_compares_witness_records():
