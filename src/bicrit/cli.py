@@ -24,24 +24,49 @@ from typing import NamedTuple
 
 from . import __version__
 from .arith import DETERMINISTIC_PRIME_BOUND, ExtVal
-from .belyi import belyi_coeffs, ncritical_form
 from .errors import DomainError, ResourceBudgetError
-from .idf import conjecture_check, find_idf_prime, mordell_candidates, scan_witnesses
-from .pcf import (
-    DEFAULT_MONOMIAL_BUDGET,
-    critical_orbit_poly,
-    integrality_certificate,
-    ncrit_counterexamples,
-    transversality_check,
-)
-from .polyring import FieldElem
-from .valdyn import ValParams, classify_case, divergence_certificate, orbit_val
 
 __all__ = ["main", "entry"]
 
 EXIT_OK = 0
 EXIT_MATH_FAIL = 1
 EXIT_USAGE = 2
+
+# the names the handlers of each command group use from the module of the
+# same name, bound here only when one of those handlers runs, so that an
+# idf command loads neither pcf, polyring, belyi nor valdyn
+_IMPORTS = {
+    "belyi": ("belyi_coeffs", "ncritical_form"),
+    "idf": ("conjecture_check", "find_idf_prime", "mordell_candidates", "scan_witnesses"),
+    "valdyn": ("ValParams", "classify_case", "divergence_certificate", "orbit_val"),
+    "pcf": (
+        "DEFAULT_MONOMIAL_BUDGET",
+        "critical_orbit_poly",
+        "integrality_certificate",
+        "ncrit_counterexamples",
+        "transversality_check",
+    ),
+}
+
+
+def _bind(group: str) -> None:
+    """``from .group import *_IMPORTS[group]``, except that a name bound
+    already stays as it is: a tracer may have rebound it to a wrapper.
+    ``__import__``, unlike ``importlib.import_module``, shows in ``python
+    -X importtime``."""
+    names = _IMPORTS[group]
+    module = __import__(f"{__package__}.{group}", fromlist=names)
+    for name in names:
+        globals().setdefault(name, getattr(module, name))
+
+
+def __getattr__(name: str):
+    # a handler's name read from outside before any handler ran
+    for group, names in _IMPORTS.items():
+        if name in names:
+            _bind(group)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -55,14 +80,16 @@ def _exact(obj):
         return obj
     if isinstance(obj, (int, Fraction, ExtVal)):
         return str(obj)
-    if isinstance(obj, FieldElem):
-        return [str(c) for c in obj.coeffs]
     if hasattr(obj, "_fields"):  # a record, before the tuple it may be
         return {name: _exact(getattr(obj, name)) for name in obj._fields}
     if isinstance(obj, (list, tuple)):
         return [_exact(x) for x in obj]
     if isinstance(obj, dict):
         return {_exact(k): _exact(v) for k, v in obj.items()}
+    # an element of GF(p^e) exists only once polyring is loaded
+    polyring = sys.modules.get(f"{__package__}.polyring")
+    if polyring is not None and isinstance(obj, polyring.FieldElem):
+        return [str(c) for c in obj.coeffs]
     raise TypeError(f"no exact serialization for {type(obj).__name__}")
 
 
@@ -267,16 +294,24 @@ def _h_valdyn_classify(ns):
     return {"case": case.value}, case.value, EXIT_OK, None
 
 
+def _budget(ns) -> int:
+    """--budget, DEFAULT_MONOMIAL_BUDGET when not given (echoed in the
+    inputs block for exact re-runs)."""
+    if ns.budget is None:
+        ns.budget = DEFAULT_MONOMIAL_BUDGET
+    return ns.budget
+
+
 def _h_pcf_locus(ns):
     payload = {"d": ns.d, "k": ns.k, "n": ns.n, "m": ns.m}
     for name, which, period in (("F", 0, ns.n), ("G", 1, ns.m)):
-        poly = critical_orbit_poly(ns.d, ns.k, which, period, ns.budget).poly
+        poly = critical_orbit_poly(ns.d, ns.k, which, period, _budget(ns)).poly
         payload[name] = {",".join(map(str, e)): c for e, c in poly.terms.items()}
     return payload, "OK", EXIT_OK, None
 
 
 def _h_pcf_integrality(ns):
-    cert = integrality_certificate(ns.d, ns.k, ns.n, ns.m, ns.budget)
+    cert = integrality_certificate(ns.d, ns.k, ns.n, ns.m, _budget(ns))
     payload = {
         "d": ns.d,
         "k": ns.k,
@@ -311,7 +346,7 @@ def _h_pcf_integrality(ns):
 
 
 def _h_pcf_transversality(ns):
-    rep = transversality_check(ns.d, ns.k, ns.n, ns.m, e_max=ns.emax, budget=ns.budget)
+    rep = transversality_check(ns.d, ns.k, ns.n, ns.m, e_max=ns.emax, budget=_budget(ns))
 
     def solution(s):
         return {"alpha": s.alpha, "beta": s.beta, "jacobian": s.jacobian_value}
@@ -363,7 +398,6 @@ _VALDYN = {
 }
 _MONOMIALS = {
     "type": int,
-    "default": DEFAULT_MONOMIAL_BUDGET,
     "help": "cap on the monomials of the orbit polynomials F_n and G_m",
 }
 
@@ -445,6 +479,7 @@ def main(argv=None) -> int:
         print("error: csv output is available for scan tables only", file=sys.stderr)
         return EXIT_USAGE
 
+    _bind(ns.group)
     started = time.perf_counter()
     try:
         payload, verdict, code, table = ns.handler(ns)

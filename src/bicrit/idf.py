@@ -290,9 +290,9 @@ MORDELL_B_SET = (1, 2, 3, 6)
 MORDELL_C_SET = (1, 2, 3, 4, 6, 9, 12, 18, 36)
 
 # mordell_candidates marks the X of one (B, C) pair at a time in a
-# bytearray of x_max + 1 bytes, beside a slice of up to as many: an `idf
-# mordell` run peaks at about 3 bytes an X (about 72 MB at this limit, as
-# the scan at SCAN_DMAX_LIMIT) and takes about 5 s at it
+# bytearray of x_max + 1 bytes, beside a fifth of that at most: an `idf
+# mordell` run peaks at about 1.2 bytes an X (38 MB of RSS at this limit)
+# and takes about 5 s at it
 MORDELL_XMAX_LIMIT = 20_000_000
 
 
@@ -345,17 +345,18 @@ def mordell_candidates(x_max: int) -> list[MordellCandidate]:
     out = []
     for b in MORDELL_B_SET:
         for c in MORDELL_C_SET:
-            marks = bytearray(n)
-            for r in range(b):
-                if (c * r**3 + 1) % b == 0:
-                    marks[r::b] = b"\1" * len(range(r, n, b))
+            # B | C*X^3 + 1 has period B in X: the marks repeat that period,
+            # made with no buffer of their size beside them
+            period = bytes((c * r**3 + 1) % b == 0 for r in range(b))
+            marks = bytearray(period) * (n // b + 1)
+            del marks[n:]
             marks[:2] = bytes(2)
             for q, is_square in _SQUARE_CLASSES:
                 b_inv = pow(b, -1, q)
                 for r in range(min(q, n)):
                     v = (c * r**3 + 1) * b_inv % q
                     if v and not is_square[v - 1]:
-                        marks[r::q] = bytes(len(range(r, n, q)))
+                        marks[r::q] = bytearray(len(range(r, n, q)))  # bytes would be copied
             x = marks.find(1)
             while x >= 0:
                 rhs = c * x**3 + 1
@@ -363,6 +364,7 @@ def mordell_candidates(x_max: int) -> list[MordellCandidate]:
                 if b * y * y == rhs:
                     out.append(MordellCandidate(x, y, b, c))
                 x = marks.find(1, x + 1)
+            del marks  # before the next pair's marks are made
     out.sort(key=lambda m: (m.d, m.b, m.c))
     return out
 

@@ -22,8 +22,10 @@ Provides
   over Q (``p`` None) or over GF(p) (``p`` a prime), with coefficients held
   as plain numbers: ints or Fractions over Q, ints in [1, p) over GF(p).
   Two variables carry the (a, c) parameter plane, three the (a, c, gamma)
-  counterexample checks.  A polynomial over GF(p) is evaluated at points
-  of any GF(p^e).
+  counterexample checks.  A product packs each row of a factor, its terms
+  of one exponent of one variable, into one int, and takes one int product
+  per pair of rows (Kronecker substitution).  A polynomial over GF(p) is
+  evaluated at points of any GF(p^e).
 * Bivariate resultants as Sylvester determinants, over Q
   (:func:`bivariate_resultant`: denominators are cleared once) and over
   GF(p) (:func:`resultant_mod`).  One fraction-free (Bareiss) elimination
@@ -39,6 +41,7 @@ from __future__ import annotations
 
 import operator
 import random
+import sys
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
@@ -915,6 +918,141 @@ def newton_polygon(f: UniPoly, p: int) -> NewtonPolygon:
 # sparse multivariate polynomials
 # ---------------------------------------------------------------------------
 
+# memoryview formats of the unsigned (GF(p)) and signed (Q) slots that fit
+# a machine word, so that a row decodes in one C call; none on a big-endian
+# host, where the little-endian slots would need a byte swap
+_SLOT_FORMATS = (
+    ({1: "B", 2: "H", 4: "I", 8: "Q"}, {1: "b", 2: "h", 4: "i", 8: "q"})
+    if sys.byteorder == "little" else ({}, {})
+)
+
+
+def _sparse_mul(A: dict, B: dict, nvars: int, p: int | None) -> dict:
+    """The product of two nonzero polynomials given as {exponents: int}
+    dicts (over GF(p), values in [1, p)), as a dict of nonzero values
+    (over GF(p), reduced).
+
+    The terms are cut into rows along the variable with the fewest
+    distinct exponents in the larger factor, and :func:`_row_product`
+    multiplies the rows.  With two variables the other exponent is the
+    slot; with more, the other variables form one slot index by mixed
+    radix, each radix above the product's degree in its variable, so that
+    exponents add as slot indices do.
+    """
+    big = A if len(A) >= len(B) else B
+    if nvars == 2:
+        rows, slots = zip(*big)
+        if len(set(rows)) <= len(set(slots)):
+            return _row_product(A, B, p)  # exponent pairs are (row, slot) already
+
+        def swap(terms):
+            return {(s, i): c for (i, s), c in terms.items()}
+
+        return swap(_row_product(swap(A), swap(B), p))
+    rest = list(range(nvars))
+    r = None  # one row of every term when there is at most one variable
+    if nvars > 1:
+        counts = [len(set(x)) for x in zip(*big)]
+        r = rest.pop(counts.index(min(counts)))
+    radix = [max(e[v] for e in A) + max(e[v] for e in B) + 1 for v in rest]
+
+    def split(terms):
+        out = {}
+        for e, c in terms.items():
+            s = 0
+            for v, x in zip(rest, radix):
+                s = s * x + e[v]
+            out[0 if r is None else e[r], s] = c
+        return out
+
+    out = {}
+    for (i, s), c in _row_product(split(A), split(B), p).items():
+        e = [i] * nvars
+        for v, x in zip(reversed(rest), reversed(radix)):
+            s, e[v] = divmod(s, x)
+        out[tuple(e)] = c
+    return out
+
+
+def _row_product(A: dict, B: dict, p: int | None) -> dict:
+    """The product of two nonzero polynomials given as {(row, slot): int},
+    by Kronecker substitution (von zur Gathen and Gerhard, *Modern Computer
+    Algebra*, ch. 8), with ``p`` as in :func:`_sparse_mul`.
+
+    A row becomes one int, the sum of c * 2^(W * (slot - first)) over its
+    terms, ``first`` its lowest slot, so that one int product multiplies
+    two rows; the row products are summed the same way into output rows.
+    W bounds every output coefficient, as a slot sums at most min(#A, #B)
+    products, with a sign bit over Q.  It is a whole number of bytes,
+    rounded up to 8, 16, 32 or 64 bits when it fits a machine word.  Each
+    output row is decoded once: over Q, adding 2^(W-1) in every slot makes
+    each slot's W bits its coefficient plus 2^(W-1), and flipping the top
+    bit of every slot back leaves the coefficient in two's complement;
+    over GF(p) no coefficient is negative.
+    """
+    signed = p is None
+    if signed:
+        top = max(map(abs, A.values())).bit_length() + max(map(abs, B.values())).bit_length() + 1
+    else:
+        top = 2 * (p - 1).bit_length()
+    size = (top + min(len(A), len(B)).bit_length() + 7) // 8
+    if size <= 8:
+        size = 1 << (size - 1).bit_length()
+    width = 8 * size
+    packed = []
+    for terms in A, B:
+        rows: dict[int, list] = {}  # row: [first slot, the row from that slot]
+        get = rows.get
+        for (i, s), c in terms.items():
+            row = get(i)
+            if row is None:
+                rows[i] = [s, c]
+            elif s > row[0]:
+                row[1] += c << width * (s - row[0])
+            else:
+                row[0], row[1] = s, (row[1] << width * (row[0] - s)) + c
+        packed.append(rows.items())
+    ra, rb = packed
+    # the output rows, summed in the same form by the same steps, written
+    # out rather than called: most products have a factor of one term or
+    # two, and a call would cost about what their whole product does
+    acc: dict[int, list] = {}
+    get = acc.get
+    for i, (oi, x) in ra:
+        for j, (oj, y) in rb:
+            s = oi + oj
+            row = get(i + j)
+            if row is None:
+                acc[i + j] = [s, x * y]
+            elif s >= row[0]:
+                row[1] += x * y << width * (s - row[0])
+            else:
+                row[0], row[1] = s, (row[1] << width * (row[0] - s)) + x * y
+    fmt = _SLOT_FORMATS[signed].get(size)
+    out = {}
+    for i, (o, v) in acc.items():
+        if not v:
+            continue
+        n = v.bit_length() // width + 1
+        if signed:
+            bias = int.from_bytes((bytes(size - 1) + b"\x80") * n, "little")
+            v = (v + bias) ^ bias
+        raw = v.to_bytes(size * n, "little")
+        if fmt is not None:
+            slots = memoryview(raw).cast(fmt).tolist()
+        else:
+            slots = [int.from_bytes(raw[k : k + size], "little", signed=signed)
+                     for k in range(0, size * n, size)]
+        if signed:
+            for s, c in enumerate(slots, o):
+                if c:
+                    out[i, s] = c
+        else:
+            for s, x in enumerate(slots, o):
+                if x % p:
+                    out[i, s] = x % p
+    return out
+
 
 class SparsePoly:
     """Sparse polynomial in a fixed number of variables, over Q or GF(p).
@@ -1011,33 +1149,25 @@ class SparsePoly:
         return (-self) + other
 
     def __mul__(self, other):
+        """The product, by Kronecker substitution (:func:`_sparse_mul`).
+
+        Over Q both factors are first scaled to integer coefficients (ints
+        have a numerator and a denominator too) and the product is divided
+        once; it keeps int coefficients when no denominator is left."""
         other = self._operand(other)
-        # ints have a numerator and a denominator too: both factors are scaled
-        # to integer coefficients, so the accumulation runs on plain ints over
-        # Q and over GF(p) alike, with one reduction per output term
-        da = lcm(*(c.denominator for c in self.terms.values()))
-        db = lcm(*(c.denominator for c in other.terms.values()))
-        ia = [(e, c.numerator * (da // c.denominator)) for e, c in self.terms.items()]
-        ib = [(e, c.numerator * (db // c.denominator)) for e, c in other.terms.items()]
-        if len(ia) < len(ib):
-            ia, ib = ib, ia
-        acc: dict[tuple[int, ...], int] = {}
-        get = acc.get
-        if self.nvars == 2:
-            for (a0, a1), va in ia:
-                for (b0, b1), vb in ib:
-                    key = (a0 + b0, a1 + b1)
-                    acc[key] = get(key, 0) + va * vb
-        else:
-            for ea, va in ia:
-                for eb, vb in ib:
-                    key = tuple(x + y for x, y in zip(ea, eb))
-                    acc[key] = get(key, 0) + va * vb
-        p = self.p
-        if p is None:
-            den = da * db
-            return self._like({e: Fraction(v, den) for e, v in acc.items() if v})
-        return self._like({e: r for e, v in acc.items() if (r := v % p)})
+        A, B, p = self.terms, other.terms, self.p
+        if not A or not B:
+            return self._like({})
+        if p is not None:
+            return self._like(_sparse_mul(A, B, self.nvars, p))
+        da = lcm(*(c.denominator for c in A.values()))
+        db = lcm(*(c.denominator for c in B.values()))
+        A = {e: c.numerator * (da // c.denominator) for e, c in A.items()}
+        B = {e: c.numerator * (db // c.denominator) for e, c in B.items()}
+        terms = _sparse_mul(A, B, self.nvars, None)
+        if da * db == 1:
+            return self._like(terms)
+        return self._like({e: Fraction(v, da * db) for e, v in terms.items()})
 
     __rmul__ = __mul__
 

@@ -68,3 +68,20 @@ def test_scan_has_what_the_counter_reads():
     assert counts["idf.scan.degrees"] == 2000 - 7 + 1
     assert counts["idf.scan.exceptions"] == 1  # d = 27
     assert [d for d, w in result if w is None] == [27]
+
+
+def test_tracer_records_a_span_in_every_hooked_layer():
+    # the wrappers reach the layers through the CLI, as a traced round runs them
+    tracer = load_spans().Tracer()
+    for case, argv in enumerate((
+        ["idf", "find", "--d", "27", "--k", "3"],
+        ["idf", "scan", "--k", "3", "--dmax", "2000"],
+        ["pcf", "locus", "--d", "3", "--k", "1", "--n", "2", "--m", "1"],
+    )):
+        code, out, _wall = tracer.run_cli(case, argv)
+        assert code == 0 and out
+    totals = tracer.layer_totals()
+    layers = ("idf.find_idf_prime", "idf.scan_witnesses", "pcf.critical_orbit_poly",
+              "polyring.sparse_mul")
+    for name in layers:
+        assert totals[f"{name}.calls"] >= 1, name

@@ -482,3 +482,45 @@ def test_idf_loads_no_other_layer():
     assert "bicrit.idf" in modules
     unused = {"bicrit.pcf", "bicrit.polyring", "bicrit.belyi", "bicrit.valdyn", "random"}
     assert not modules & unused
+
+
+def test_idf_command_loads_no_other_layer():
+    # every module the CLI process imports, as -X importtime lists them
+    src = os.path.dirname(os.path.dirname(bicrit.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-X", "importtime", "-m", "bicrit.cli",
+         "idf", "find", "--d", "27", "--k", "3"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=60,
+    )
+    assert proc.returncode == 0 and '"verdict": "NONE"' in proc.stdout
+    loaded = {
+        line.rsplit("|", 1)[1].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+    assert "bicrit.idf" in loaded
+    assert not loaded & {"bicrit.pcf", "bicrit.polyring", "bicrit.belyi", "bicrit.valdyn"}
+
+
+def test_rebound_handler_names_reach_the_handlers(capsys, monkeypatch):
+    # perfbench/spans.py reads these names from bicrit.cli and rebinds them
+    calls = []
+    for name in ("find_idf_prime", "scan_witnesses", "critical_orbit_poly"):
+        fn = getattr(bicrit.cli, name)
+        assert callable(fn)
+
+        def counted(*args, fn=fn, name=name, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(bicrit.cli, name, counted)
+    assert main(["idf", "find", "--d", "27", "--k", "3"]) == 0
+    assert main(["idf", "scan", "--k", "3", "--dmax", "100"]) == 0
+    assert main(["pcf", "locus", "--d", "3", "--k", "1", "--n", "2", "--m", "1"]) == 0
+    capsys.readouterr()
+    assert calls == ["find_idf_prime", "scan_witnesses", *["critical_orbit_poly"] * 2]
+    with pytest.raises(AttributeError):
+        bicrit.cli.no_such_name

@@ -69,6 +69,28 @@ GOLDEN = [
      "c3f99f086a6b87d1feb9fe4f904b40d3158adcd9ae8b1c7ac3a3fbf0e7aa8731"),
     ("pcf transversality --d 9 --k 2 --n 2 --m 2 --emax 4 --budget 1000000", 0,
      "2c9ca0dad71a5e70826dba8789663bb22411029de4ca80a6f0fef3d5d0c44da3"),
+    # the ten integrality slots of the pcf benchmark workload, the locus of
+    # (4,1,5,3) with its 3,456 + 165 terms among them
+    ("pcf integrality --d 6 --k 2 --n 2 --m 2", 0,
+     "4a7d7adb2312a3908ea6171902aafb745cbc58b2ba0f3b94c61e9cf7ebd358d8"),
+    ("pcf integrality --d 5 --k 2 --n 1 --m 3", 0,
+     "1b701b0714b5e2503f6e20eec65d62066f2d874df40d2c740bf2c4d390fdf224"),
+    ("pcf integrality --d 3 --k 1 --n 2 --m 3", 0,
+     "2d287bf790a8a8ddac6fc1ba21db480f683f6d45d7deadba79ddd4289f7ef761"),
+    ("pcf integrality --d 4 --k 1 --n 3 --m 1", 0,
+     "8a48e8cf54eac2c004bc1e17f12c5d5061c95e31cc4c662febaa44f5d43dd560"),
+    ("pcf locus --d 4 --k 1 --n 5 --m 3", 0,
+     "ff6fd4585a9a89db6c091fea426c664c9cb6de4228c2a97239ba6534323ee4a1"),
+    ("pcf integrality --d 3 --k 1 --n 1 --m 4", 0,
+     "705b1319b4995037f2374683e93ea93d38df3fd76a8507b66e1cad2e052de2ed"),
+    ("pcf integrality --d 7 --k 3 --n 2 --m 2", 0,
+     "ce895cefb761fcb0bed1cd338dcf84fab1fa240290a5b1f749cc55624ff0f19e"),
+    ("pcf integrality --d 3 --k 1 --n 3 --m 2", 0,
+     "99617c1fd1100bb9a5cfa6f2d3714fcd816666d2ee1d2b9c445c39e1c0b0d911"),
+    ("pcf integrality --d 8 --k 2 --n 2 --m 2", 1,
+     "a69719b5e106cb04c21e8e772c156e9c0b1ebaf07b50ea8788582c15f707e60d"),
+    ("pcf integrality --d 4 --k 1 --n 2 --m 3", 0,
+     "80f5123de7708272f5dff1be839f5eed7b378bdda7109cf9d2954f18736f85c2"),
 ]
 
 

@@ -1,4 +1,5 @@
 import concurrent.futures
+import tracemalloc
 from math import isqrt
 from unittest.mock import patch
 
@@ -251,6 +252,19 @@ class TestMordell:
     def test_sieve_matches_the_loop(self, x_max):
         # the residue-class sieve leaves every solution to the exact test
         assert mordell_candidates(x_max) == loop_mordell(x_max)
+
+    def test_peak_memory_per_x(self):
+        # one (B, C) pair's marks at a time, and no buffer of their size
+        # beside them: two pairs' marks and a copy took 3 bytes an X
+        x_max = 2 * 10**6
+        tracemalloc.start()
+        try:
+            cands = mordell_candidates(x_max)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * x_max
+        assert [(m.x, m.y, m.b, m.c, m.d) for m in cands] == MORDELL_TABLE
 
     def test_invariants(self):
         for m in mordell_candidates(200):

@@ -31,6 +31,7 @@ from bicrit.polyring import (
     resultant_mod,
 )
 from util import (
+    dict_mul,
     exact_div,
     fraction_bivariate_resultant,
     poly_divmod,
@@ -753,6 +754,123 @@ class TestSparsePoly:
             prod_q = reduce_poly(A * B, 5)
             prod_f = reduce_poly(A, 5) * reduce_poly(B, 5)
             assert prod_q == prod_f
+
+
+
+def coefficients(p):
+    """Coefficients over GF(p), or over Q: small, machine-word and wide
+    ints of either sign, and Fractions, some with numerators past 2^100."""
+    if p is not None:
+        return st.integers(0, p - 1)
+    return st.one_of(
+        st.integers(-9, 9),
+        st.integers(-(2**70), 2**70),
+        st.builds(mul, st.sampled_from((-1, 1)), st.integers(2**100, 2**140)),
+        st.fractions(min_value=-9, max_value=9, max_denominator=12),
+        st.builds(Fraction, st.integers(-(2**110), 2**110), st.integers(1, 30)),
+    )
+
+
+@st.composite
+def sparse_polys(draw, nvars, p, max_terms=8):
+    """A polynomial in nvars variables, zero, one term or a few, with
+    exponents below 4 or spread up to 40."""
+    top = draw(st.sampled_from((3, 40)))
+    terms = draw(
+        st.dictionaries(
+            st.tuples(*[st.integers(0, top)] * nvars), coefficients(p), max_size=max_terms
+        )
+    )
+    return SparsePoly(nvars, terms, p)
+
+
+FIELDS = (None, 2, 3, 5, 7, 11, 13)
+
+
+class TestSparseProduct:
+    """The packed-integer product against the dict convolution of
+    ``util.dict_mul``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), nvars=st.integers(1, 3), p=st.sampled_from(FIELDS))
+    def test_matches_the_dict_convolution(self, data, nvars, p):
+        P = data.draw(sparse_polys(nvars, p))
+        Q = data.draw(sparse_polys(nvars, p))
+        expected = dict_mul(P, Q)
+        assert P * Q == expected
+        assert Q * P == expected
+        if p is not None or all(type(c) is int for c in [*P.terms.values(), *Q.terms.values()]):
+            # no denominator is left: the coefficients stay ints
+            assert all(type(c) is int for c in (P * Q).terms.values())
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), nvars=st.integers(1, 3), p=st.sampled_from(FIELDS))
+    def test_one_term_constant_and_zero_operands(self, data, nvars, p):
+        P = data.draw(sparse_polys(nvars, p))
+        exps = data.draw(st.tuples(*[st.integers(0, 6)] * nvars))
+        c = data.draw(coefficients(p).filter(bool))
+        for other in (
+            SparsePoly(nvars, {exps: c}, p),
+            SparsePoly.constant(nvars, c, p),
+            SparsePoly(nvars, p=p),
+        ):
+            assert P * other == dict_mul(P, other)
+            assert other * P == dict_mul(other, P)
+        assert P * c == c * P == dict_mul(P, SparsePoly.constant(nvars, c, p))
+        assert (P * 0).terms == {}
+
+    def test_no_variables(self):
+        assert SparsePoly(0, {(): 6}) * SparsePoly(0, {(): Fraction(1, 4)}) == SparsePoly(
+            0, {(): Fraction(3, 2)}
+        )
+        assert (SparsePoly(0, {(): 3}, 5) * SparsePoly(0, {(): 4}, 5)).terms == {(): 2}
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), p=st.sampled_from(FIELDS), var=st.sampled_from((0, 1)))
+    def test_rows_that_cancel_inside(self, data, p, var):
+        # P(a, c) * P with one variable negated: every term odd in it cancels
+        a, c = SparsePoly.variable(2, 0, p), SparsePoly.variable(2, 1, p)
+        assert (a + c) * (a - c) == a * a - c * c
+        assert ((a + c) * (a - c)).terms.keys() == {(2, 0), (0, 2)}
+        P = data.draw(sparse_polys(2, p))
+        sign = {e: -1 if e[var] % 2 else 1 for e in P.terms}
+        Q = SparsePoly(2, {e: sign[e] * v for e, v in P.terms.items()}, p)
+        assert P * Q == dict_mul(P, Q)
+        assert all(e[var] % 2 == 0 for e in (P * Q).terms)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), nvars=st.integers(1, 3), p=st.sampled_from(FIELDS[1:]))
+    def test_terms_that_vanish_mod_p(self, data, nvars, p):
+        # the Frobenius: (sum of c * m)^p = sum of c * m^p over GF(p)
+        xs = [SparsePoly.variable(nvars, v, p) for v in range(nvars)]
+        powers = {tuple(p * (v == w) for w in range(nvars)): 1 for v in range(nvars)}
+        assert sum(xs[1:], xs[0]) ** p == SparsePoly(nvars, powers, p)
+        P = data.draw(sparse_polys(nvars, p, max_terms=4))
+        frobenius = SparsePoly(nvars, {tuple(p * x for x in e): v for e, v in P.terms.items()}, p)
+        assert P**p == frobenius
+
+    @pytest.mark.parametrize("bits", (12, 40))
+    def test_coefficients_at_the_slot_bound(self, bits):
+        # 255 terms of 2^bits - 1 a side: the middle coefficient takes all
+        # 32 or 88 bits of its magnitude, so its slot needs one more for the
+        # sign
+        top = 2**bits - 1
+        P = SparsePoly(1, {(i,): top for i in range(255)})
+        for Q in (P, -P):
+            product = P * Q
+            assert product == dict_mul(P, Q)
+            assert abs(product.terms[(254,)]) == 255 * top**2
+
+    def test_long_rows_of_wide_coefficients(self):
+        # one dense row of 300 slots a side, coefficients of up to 200 bits,
+        # or residues mod a 61-bit prime, whose slots are wider than a word
+        rng = random.Random(7)
+        for p, lo, hi in ((None, -(2**200), 2**200), (13, 0, 13), (2**61 - 1, 0, 2**61 - 1)):
+            P, Q = (
+                SparsePoly(1, {(i,): rng.randrange(lo, hi) for i in range(n)}, p)
+                for n in (300, 250)
+            )
+            assert P * Q == dict_mul(P, Q)
 
 
 def left_to_right(base, n, one, times):

@@ -433,3 +433,15 @@ ALL_CASES = (
     CaseTag.CASE4III,
     CaseTag.INTEGRAL,
 )
+
+
+def dict_mul(P, Q):
+    """P * Q for two SparsePolys over one domain by the term-by-term dict
+    convolution, every coefficient product summed exactly and reduced by
+    the SparsePoly constructor."""
+    acc = {}
+    for ea, va in P.terms.items():
+        for eb, vb in Q.terms.items():
+            key = tuple(x + y for x, y in zip(ea, eb))
+            acc[key] = acc.get(key, 0) + va * vb
+    return SparsePoly(P.nvars, acc, P.p)
