@@ -60,20 +60,17 @@ class BelyiPoly(NamedTuple):
             dense[self.d - i] = b
         return UniPoly(dense)
 
-    def evaluate(self, x: Fraction) -> Fraction:
-        x = Fraction(x)
-        # Horner on the top k+1 coefficients, then the z^(d-k) tail
-        acc = Fraction(0)
-        for b in self.coeffs:
+    def evaluate(self, x):
+        """B(x) for a rational x or a SparsePoly x: Horner on the top k+1
+        coefficients from b_0, then the z^(d-k) tail."""
+        acc, *rest = self.coeffs
+        for b in rest:
             acc = acc * x + b
         return acc * x ** (self.d - self.k)
 
-    def eval_sparse(self, inner: SparsePoly) -> SparsePoly:
-        """B(inner) for a sparse multivariate inner polynomial."""
-        acc = SparsePoly(inner.nvars, p=inner.p)
-        for b in self.coeffs:
-            acc = acc * inner + b
-        return acc * inner ** (self.d - self.k)
+    # B(z) for an iterate z, under a name of its own: perfbench/spans.py
+    # rebinds it to time the orbit steps
+    eval_sparse = evaluate
 
     def step(self, a, c, z: SparsePoly, budget: int) -> SparsePoly:
         """One application a*B(z) + c, refused once it exceeds ``budget`` terms.

@@ -7,8 +7,9 @@ the ``command`` + ``inputs`` block of any JSON report reproduces the
 report byte for byte apart from the ``timings`` field.
 
 Exit codes: 0 success / mathematical PASS, 1 mathematical FAIL (a
-certificate check failed), 2 usage or resource errors, including a
-malformed flag value and a stdout closed before the report was written.
+certificate check failed) or DEGENERATE (a resultant vanished), 2 usage
+or resource errors, including a malformed flag value and a stdout closed
+before the report was written.
 """
 
 from __future__ import annotations
@@ -178,7 +179,7 @@ def _write_json(report, table: _Table) -> None:
 
 
 # ---------------------------------------------------------------------------
-# handlers: each returns (payload, verdict, exit_code, _Table or None)
+# handlers: each returns (payload, verdict, _Table or None)
 # ---------------------------------------------------------------------------
 
 
@@ -191,7 +192,7 @@ def _h_belyi_coeffs(ns):
         "b": b.coeffs,
         "polynomial": {"variable": "z", "coefficients": z.coeffs, "text": z.render("z")},
     }
-    return payload, "OK", EXIT_OK, None
+    return payload, "OK", None
 
 
 def _h_belyi_ncrit(ns):
@@ -214,7 +215,7 @@ def _h_belyi_ncrit(ns):
             e: {"gamma_poly": c.coeffs} if form.symbolic else c for e, c in form.coeffs
         },
     }
-    return payload, "OK", EXIT_OK, None
+    return payload, "OK", None
 
 
 def _found(payload, w):
@@ -223,7 +224,7 @@ def _found(payload, w):
     payload["witness"] = w
     if w is not None and w.p >= DETERMINISTIC_PRIME_BOUND:
         payload["witness_primality"] = "probable"
-    return payload, ("FOUND" if w else "NONE"), EXIT_OK, None
+    return payload, ("FOUND" if w else "NONE"), None
 
 
 def _h_idf_find(ns):
@@ -237,12 +238,9 @@ def _h_idf_conjecture(ns):
 def _h_idf_scan(ns):
     if ns.dmin is None:
         ns.dmin = 2 * ns.k + 2  # echoed in the inputs block for exact re-runs
-    print(
-        f"scanning k={ns.k}, d in [{ns.dmin}, {ns.dmax}], jobs={ns.jobs}",
-        file=sys.stderr,
-    )
+    print(f"scanning k={ns.k}, d in [{ns.dmin}, {ns.dmax}]", file=sys.stderr)
     k = ns.k
-    witnesses = scan_witnesses(ns.dmin, ns.dmax, k, jobs=ns.jobs)
+    witnesses = scan_witnesses(ns.dmin, ns.dmax, k)
 
     def cells(w):
         return (k, "false", "", "", "") if w is None else (k, "true", w.p, w.r, w.e)
@@ -255,13 +253,13 @@ def _h_idf_scan(ns):
         "range_note": "certifies only the scanned range; larger d are not decided",
     }
     table = _Table("rows", ("d", "k", "has_idf", "p", "r", "e"), witnesses, cells)
-    return payload, "OK", EXIT_OK, table
+    return payload, "OK", table
 
 
 def _h_idf_mordell(ns):
     rows = [(m.x, m) for m in mordell_candidates(ns.xmax)]
     table = _Table("candidates", ("x", "y", "b", "c", "d"), rows, lambda m: (m.y, m.b, m.c, m.d))
-    return {"xmax": ns.xmax}, "OK", EXIT_OK, table
+    return {"xmax": ns.xmax}, "OK", table
 
 
 def _val_params(ns) -> ValParams:
@@ -286,12 +284,12 @@ def _h_valdyn_orbit(ns):
         ],
         "certificate": cert,
     }
-    return payload, case.value, EXIT_OK, None
+    return payload, case.value, None
 
 
 def _h_valdyn_classify(ns):
     case = classify_case(_val_params(ns))
-    return {"case": case.value}, case.value, EXIT_OK, None
+    return {"case": case.value}, case.value, None
 
 
 def _budget(ns) -> int:
@@ -307,7 +305,7 @@ def _h_pcf_locus(ns):
     for name, which, period in (("F", 0, ns.n), ("G", 1, ns.m)):
         poly = critical_orbit_poly(ns.d, ns.k, which, period, _budget(ns)).poly
         payload[name] = {",".join(map(str, e)): c for e, c in poly.terms.items()}
-    return payload, "OK", EXIT_OK, None
+    return payload, "OK", None
 
 
 def _h_pcf_integrality(ns):
@@ -341,8 +339,7 @@ def _h_pcf_integrality(ns):
                 {"valuation": v, "multiplicity": mult} for v, mult in np.root_valuations()
             ],
         }
-    code = EXIT_OK if cert.verdict == "PASS" else EXIT_MATH_FAIL
-    return payload, cert.verdict, code, None
+    return payload, cert.verdict, None
 
 
 def _h_pcf_transversality(ns):
@@ -369,8 +366,7 @@ def _h_pcf_transversality(ns):
         "alpha_jacobian_signs": rep.signs,
         "failure": None if rep.failure is None else solution(rep.failure),
     }
-    code = EXIT_OK if rep.verdict == "PASS" else EXIT_MATH_FAIL
-    return payload, rep.verdict, code, None
+    return payload, rep.verdict, None
 
 
 def _h_pcf_counterexamples(ns):
@@ -382,8 +378,7 @@ def _h_pcf_counterexamples(ns):
         "jacobian_identically_zero_mod_3": rep.jacobian_identically_zero,
         "periods_checked": [",".join(map(str, trip)) for trip in rep.periods_checked],
     }
-    code = EXIT_OK if rep.verdict == "CONFIRMED" else EXIT_MATH_FAIL
-    return payload, rep.verdict, code, None
+    return payload, rep.verdict, None
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +417,9 @@ COMMANDS = [
         "dmin": {"type": int, "help": "default: 2k + 2"},
         "dmax": {"type": int, "default": 10**5},
         "k": _INT,
-        "jobs": {"type": int, "default": 1, "help": "parallel workers"},
+        # kept only to be echoed in the inputs block: perfbench/workloads.py
+        # passes it, and the reports that carry it must still re-run
+        "jobs": {"type": int, "default": 1, "help": "no effect: a scan runs in one process"},
     }),
     ("idf", "mordell", _h_idf_mordell, "bounded Mordell sieve", {"xmax": _INT}),
     ("idf", "conjecture", _h_idf_conjecture, "witness over n(n-1)...(n-k)",
@@ -482,10 +479,11 @@ def main(argv=None) -> int:
     _bind(ns.group)
     started = time.perf_counter()
     try:
-        payload, verdict, code, table = ns.handler(ns)
+        payload, verdict, table = ns.handler(ns)
     except (DomainError, ResourceBudgetError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return EXIT_USAGE
+    code = EXIT_MATH_FAIL if verdict in ("FAIL", "DEGENERATE") else EXIT_OK
     elapsed_us = int((time.perf_counter() - started) * 1_000_000)
 
     try:

@@ -21,7 +21,6 @@ in X (complete integral-point machinery is deliberately out of scope).
 from __future__ import annotations
 
 import gc
-import os
 from array import array
 from functools import partial
 from itertools import compress
@@ -142,7 +141,7 @@ def find_idf_prime(d: int, k: int) -> IdfWitness | None:
     return None if w is None else IdfWitness(*w)
 
 
-# degrees per sieve segment: the unit of work handed to a worker
+# degrees per sieve segment: the unit that bounds the sieve's buffers
 SEGMENT = 1 << 17
 
 
@@ -168,7 +167,7 @@ def _rough_factor(m: int, smooth: int, primes: list[int]) -> list[tuple[int, int
     return out
 
 
-def _scan_segment(args):
+def _scan_segment(lo: int, hi: int, k: int):
     """Witnesses for d in [lo, hi] (all d >= 2k + 1), in compact form.
 
     Returns (lo, key, rest): key[i] is p << 5 | e when the witness of
@@ -176,7 +175,6 @@ def _scan_segment(args):
     for the witnesses with r >= 2.  (The key fits in 32 bits for
     d < 2^27.)
     """
-    lo, hi, k = args
     n = hi - lo + 1
     primes = primes_upto(isqrt(hi))
     small = [q for q in primes if q <= k]
@@ -228,17 +226,12 @@ class _Witnesses(dict):
         return w
 
 
-def scan_witnesses(
-    d_min: int, d_max: int, k: int, jobs: int = 1
-) -> list[tuple[int, IdfWitness | None]]:
+def scan_witnesses(d_min: int, d_max: int, k: int) -> list[tuple[int, IdfWitness | None]]:
     """(d, smallest witness or None) for every d in [d_min, d_max].
 
     Matches find_idf_prime degree by degree, off a sieve of the least
     prime factor above k run segment by segment.  Degrees with k out of
-    range (d < 2k + 1) are skipped.  With jobs > 1 the segments are
-    spread over up to that many worker processes (no more than there are
-    CPUs or segments) and merged in order, so the output is independent
-    of the level of parallelism.  Equal witnesses are one shared object.
+    range (d < 2k + 1) are skipped.  Equal witnesses are one shared object.
     The list takes about 100 bytes a degree; a d_max above
     ``SCAN_DMAX_LIMIT`` is refused before anything is sieved.
     """
@@ -251,18 +244,8 @@ def scan_witnesses(
             f"a scan up to d = {d_max} lists a witness for every degree; "
             f"the limit is {SCAN_DMAX_LIMIT}"
         )
-    lo = max(d_min, 2 * k + 1)
-    segments = [
-        (a, min(a + SEGMENT - 1, d_max), k) for a in range(lo, d_max + 1, SEGMENT)
-    ]
-    workers = min(jobs, os.cpu_count() or 1, len(segments))
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_scan_segment, segments))
-    else:
-        parts = map(_scan_segment, segments)
+    starts = range(max(d_min, 2 * k + 1), d_max + 1, SEGMENT)
+    parts = (_scan_segment(a, min(a + SEGMENT - 1, d_max), k) for a in starts)
     witnesses = _Witnesses({0: None})
     out = []
     # the pairs make no reference cycles: without the cyclic collector,
@@ -281,9 +264,9 @@ def scan_witnesses(
     return out
 
 
-def scan_exceptions(d_min: int, d_max: int, k: int, jobs: int = 1) -> list[int]:
+def scan_exceptions(d_min: int, d_max: int, k: int) -> list[int]:
     """All d in [d_min, d_max] with no IDF prime for (d, k)."""
-    return [d for d, w in scan_witnesses(d_min, d_max, k, jobs) if w is None]
+    return [d for d, w in scan_witnesses(d_min, d_max, k) if w is None]
 
 
 MORDELL_B_SET = (1, 2, 3, 6)

@@ -390,11 +390,7 @@ def transversality_check(
         results.append(res)
         one = res.field.one
         for sol in res.solutions:
-            if not sol.jacobian_value:
-                return TransversalityReport(
-                    d, k, n, m, witness, e_max, "FAIL",
-                    tuple(results), tuple(signs), sol,
-                )
+            # J = 0 fails here too: 0 is neither 1 nor -1 in any field
             unit = sol.alpha * sol.jacobian_value
             if unit == one:
                 signs.append(1)

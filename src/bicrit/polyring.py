@@ -1114,12 +1114,10 @@ class SparsePoly:
     def num_terms(self) -> int:
         return len(self.terms)
 
-    def degree(self, var: int | None = None) -> int:
-        """Degree in one variable, or total degree if var is None; -1 if zero."""
+    def degree(self, var: int) -> int:
+        """Degree in one variable; -1 if zero."""
         if not self.terms:
             return -1
-        if var is None:
-            return max(sum(e) for e in self.terms)
         return max(e[var] for e in self.terms)
 
     def __add__(self, other):

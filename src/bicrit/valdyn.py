@@ -187,14 +187,14 @@ class DivergenceCertificate(NamedTuple):
     step_decrement: Fraction | None = None
 
 
-def divergence_certificate(params: ValParams, n_steps: int = 3) -> DivergenceCertificate:
+def divergence_certificate(params: ValParams) -> DivergenceCertificate:
     case = classify_case(params)
     if case is CaseTag.INTEGRAL:
         raise DomainError("integral parameters admit no divergence certificate")
     if case is CaseTag.CASE4III:
         return DivergenceCertificate(case, "inconclusive", 0, ())
     start = 0 if case in (CaseTag.CASE1, CaseTag.CASE4I, CaseTag.CASE4II) else 1
-    steps = tuple(orbit_val(start, params, max(n_steps, 3)))
+    steps = tuple(orbit_val(start, params, 3))
     if case is CaseTag.CASE4II:
         ok = all(s.exact and s.value == params.v_beta for s in steps)
         if ok:

@@ -68,7 +68,7 @@ def test_01_belyi_invariants():
 def test_02_idf_exception_scan(capsys):
     with criterion(2, "IDF exceptions over d <= 10^5 are exactly {27} at k = 3"):
         for k in range(1, 11):
-            exceptions = scan_exceptions(2 * k + 2, 10**5, k, jobs=4)
+            exceptions = scan_exceptions(2 * k + 2, 10**5, k)
             if k == 3:
                 assert exceptions == [27], f"k=3 gave {exceptions}"
             else:

@@ -62,9 +62,9 @@ def test_scan_has_what_the_counter_reads():
     # _count_scan reads len(result) and, for each (d, witness) pair,
     # whether the witness is None
     spans = load_spans()
-    result = bicrit.idf.scan_witnesses(7, 2000, 3, jobs=2)
+    result = bicrit.idf.scan_witnesses(7, 2000, 3)
     counts = defaultdict(int)
-    spans._count_scan(counts, (7, 2000, 3), {"jobs": 2}, result)
+    spans._count_scan(counts, (7, 2000, 3), {}, result)
     assert counts["idf.scan.degrees"] == 2000 - 7 + 1
     assert counts["idf.scan.exceptions"] == 1  # d = 27
     assert [d for d, w in result if w is None] == [27]

@@ -20,6 +20,7 @@ import bicrit.polyring
 from bicrit.arith import DETERMINISTIC_PRIME_BOUND
 from bicrit.cli import COMMANDS, GROUPS, main
 from bicrit.idf import SCAN_DMAX_LIMIT
+from bicrit.valdyn import CaseTag
 from util import SCAN_HEADER, csv_table, dual_orbit_solutions, loop_mordell, scan_rows
 
 # two ~60-bit primes: Brent's rho would need about 2^30 steps to split P * Q
@@ -45,6 +46,41 @@ def rebuild_argv(report):
         if value != "":
             argv += [f"--{key}", value]
     return argv
+
+
+ORBIT = "valdyn orbit --d 5 --k 1 --r 0 --e 1 --valpha -1 --vbeta -1 --start 0"
+CLASSIFY = "valdyn classify --d 5 --k 1 --r 0 --e 1 --valpha -1 --vbeta -1"
+INTEGRALITY = "pcf integrality --d 3 --k 1 --n 2 --m 1"
+TRANSVERSALITY = "pcf transversality --d 3 --k 1 --n 2 --m 1"
+
+# (argv, library call to change or None, change, verdict, exit code)
+VERDICTS = [
+    ("belyi coeffs --d 5 --k 2", None, None, "OK", 0),
+    ("belyi ncrit --d 4 --profile 1,1", None, None, "OK", 0),
+    ("idf find --d 8 --k 2", None, None, "FOUND", 0),
+    ("idf find --d 27 --k 3", None, None, "NONE", 0),
+    ("idf conjecture --n 9 --k 2", None, None, "FOUND", 0),
+    ("idf conjecture --n 27 --k 3", None, None, "NONE", 0),
+    ("idf scan --k 3 --dmax 100", None, None, "OK", 0),
+    ("idf mordell --xmax 100", None, None, "OK", 0),
+    ("pcf locus --d 3 --k 1 --n 2 --m 1", None, None, "OK", 0),
+    *[
+        (INTEGRALITY, "integrality_certificate",
+         lambda cert, v=verdict: cert._replace(verdict=v), verdict, code)
+        for verdict, code in (("PASS", 0), ("FAIL", 1), ("DEGENERATE", 1))
+    ],
+    (TRANSVERSALITY, None, None, "PASS", 0),
+    (TRANSVERSALITY, "transversality_check", lambda rep: rep._replace(verdict="FAIL"),
+     "FAIL", 1),
+    ("pcf counterexamples", None, None, "CONFIRMED", 0),
+    ("pcf counterexamples", "ncrit_counterexamples",
+     lambda rep: rep._replace(jacobian_identically_zero=False), "FAIL", 1),
+    *[
+        (argv, "classify_case", lambda case, tag=tag: tag, tag.value, 0)
+        for argv in (ORBIT, CLASSIFY)
+        for tag in CaseTag
+    ],
+]
 
 
 class TestExitCodes:
@@ -82,6 +118,21 @@ class TestExitCodes:
         assert code == 0
         assert rep["verdict"] == "PASS"
         assert rep["result"]["alpha_jacobian_signs"] == ["-1", "-1"]
+
+    @pytest.mark.parametrize("argv, name, change, verdict, expected", VERDICTS)
+    def test_every_verdict_has_its_exit_code(
+        self, capsys, monkeypatch, argv, name, change, verdict, expected
+    ):
+        # FAIL and DEGENERATE exit 1, every other verdict 0; ``change``
+        # turns the result of the library call ``name`` into one with the
+        # verdict wanted
+        if name is not None:
+            real = getattr(bicrit.cli, name)
+            monkeypatch.setattr(
+                bicrit.cli, name, lambda *args, **kwargs: change(real(*args, **kwargs))
+            )
+        code, rep = run_json(capsys, *argv.split())
+        assert (rep["verdict"], code) == (verdict, expected)
 
     def test_usage_error(self, capsys):
         assert main(["idf", "find", "--d", "8"]) == 2
@@ -217,7 +268,7 @@ class TestExitCodes:
 
         def stand_in(ns):
             calls.append(ns)
-            return {}, "PASS", 0, None
+            return {}, "PASS", None
 
         commands = [
             (group, cmd, stand_in if (group, cmd) == ("pcf", "integrality") else handler, *rest)
@@ -410,7 +461,7 @@ class TestTableOracle:
     )
     @example(k=3, d_min=2, length=4, jobs=1, segment=bicrit.idf.SEGMENT)  # no valid degree
     @example(k=3, d_min=20, length=10, jobs=2, segment=bicrit.idf.SEGMENT)  # d = 27
-    # two segments of the real length, one for each worker
+    # two segments of the real length
     @example(k=2, d_min=0, length=bicrit.idf.SEGMENT + 500, jobs=2, segment=bicrit.idf.SEGMENT)
     def test_scan(self, k, d_min, length, jobs, segment):
         d_max = d_min + length
@@ -484,25 +535,41 @@ def test_idf_loads_no_other_layer():
     assert not modules & unused
 
 
-def test_idf_command_loads_no_other_layer():
-    # every module the CLI process imports, as -X importtime lists them
+def cli_imports(*argv):
+    """The stdout of a fresh CLI process run on argv, which must exit 0,
+    and every module it imports, as -X importtime lists them."""
     src = os.path.dirname(os.path.dirname(bicrit.__file__))
     proc = subprocess.run(
-        [sys.executable, "-S", "-X", "importtime", "-m", "bicrit.cli",
-         "idf", "find", "--d", "27", "--k", "3"],
+        [sys.executable, "-S", "-X", "importtime", "-m", "bicrit.cli", *argv],
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=src),
         timeout=60,
     )
-    assert proc.returncode == 0 and '"verdict": "NONE"' in proc.stdout
+    assert proc.returncode == 0
     loaded = {
         line.rsplit("|", 1)[1].strip()
         for line in proc.stderr.splitlines()
         if line.startswith("import time:")
     }
+    return proc.stdout, loaded
+
+
+def test_idf_command_loads_no_other_layer():
+    out, loaded = cli_imports("idf", "find", "--d", "27", "--k", "3")
+    assert '"verdict": "NONE"' in out
     assert "bicrit.idf" in loaded
     assert not loaded & {"bicrit.pcf", "bicrit.polyring", "bicrit.belyi", "bicrit.valdyn"}
+
+
+def test_scan_starts_no_process():
+    # two sieve segments, and two jobs asked for: the scan still runs in
+    # the one process
+    assert bicrit.idf.SEGMENT < 131172 - 7 < 2 * bicrit.idf.SEGMENT
+    out, loaded = cli_imports("idf", "scan", "--k", "3", "--dmax", "131172", "--jobs", "2")
+    assert '"exceptions": [\n      "27"\n    ]' in out
+    assert "bicrit.idf" in loaded
+    assert not {name.split(".")[0] for name in loaded} & {"concurrent", "multiprocessing"}
 
 
 def test_rebound_handler_names_reach_the_handlers(capsys, monkeypatch):

@@ -22,7 +22,7 @@ GOLDEN = [
      "63033a85a007b4d8b39af6aef2d83c352bf90b3e0d178229d6e90024dff3c090"),
     ("idf scan --k 3 --dmax 100000 --jobs 4 --format csv", 0,
      "90d115ec72e0b1430cfbd490eed7aebfb4b44270ce831c0bae630b07d0bc08f7"),
-    # scans as JSON, and as CSV cut over two and three workers
+    # scans as JSON, and as CSV with --jobs 2 and 3, which the scan ignores
     ("idf scan --k 3 --dmax 2000", 0,
      "e493114550f005cc2e6b162ddc08270ca123efa7482138a913850a7ecc12f070"),
     ("idf scan --k 7 --dmax 40462 --jobs 2 --format csv", 0,

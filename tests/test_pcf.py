@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 import bicrit.pcf
 import bicrit.polyring
 from bicrit.belyi import belyi_coeffs
+from bicrit.cli import main
 from bicrit.errors import DomainError, ResourceBudgetError, UnsupportedParametersError
 from bicrit.idf import IdfWitness, find_idf_prime
 from bicrit.pcf import (
+    FiniteSolution,
     SolveModResult,
     critical_orbit_poly,
     integrality_certificate,
@@ -426,6 +428,34 @@ class TestTransversality:
         monkeypatch.setattr(bicrit.pcf, "solve_mod", no_solutions)
         with pytest.raises(DomainError, match=r"over GF\(2\), GF\(2\^2\)"):
             transversality_check(4, 1, 1, 1, e_max=2)
+
+    @pytest.mark.parametrize("jacobian", [0, 2])
+    def test_bad_jacobian_is_a_fail(self, capsys, monkeypatch, jacobian):
+        # over GF(5), for the witness of (5, 1): alpha * J = 1 at the first
+        # solution, then J = 0 or alpha * J = 2, where the check stops
+        field = GF(5)
+        good = FiniteSolution(field.one, field.elem(3), field.one)
+        bad = FiniteSolution(field.one, field.elem(4), field.elem(jacobian))
+        res = SolveModResult(field, (good, bad), 0)
+        monkeypatch.setattr(bicrit.pcf, "solve_mod", lambda *args: res)
+        rep = transversality_check(5, 1, 1, 1)
+        assert (rep.verdict, rep.failure, rep.signs, rep.per_field) == ("FAIL", bad, (1,), (res,))
+        code = main(["pcf", "transversality", "--d", "5", "--k", "1", "--n", "1", "--m", "1"])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 1
+        assert report["verdict"] == "FAIL"
+        assert report["result"]["failure"] == {
+            "alpha": ["1"], "beta": ["4"], "jacobian": [str(jacobian)]
+        }
+        assert report["result"]["alpha_jacobian_signs"] == ["1"]
+        assert report["result"]["per_field"] == [{
+            "field": "GF(5)",
+            "excluded_alpha_zero": "0",
+            "solutions": [
+                {"alpha": ["1"], "beta": ["3"], "jacobian": ["1"]},
+                {"alpha": ["1"], "beta": ["4"], "jacobian": [str(jacobian)]},
+            ],
+        }]
 
     def test_deep_orbit_skips_zero_rows(self, monkeypatch):
         # F_7 mod 3 has 7 nonzero rows in c among 730: the substitution
