@@ -9,13 +9,15 @@ Provides
   bit.  A :class:`FieldElem` computes with elements of its own field only;
   ``scale`` multiplies it by an integer.
 * One int-list kernel for Z[x] and GF(p)[x], the ``_zx_*`` functions
-  (``mod`` None or p): a product, a division, a power (optionally mod a
-  polynomial) and a monic gcd.  It serves the Bareiss resultants, the
-  product in GF(p^e), Rabin's irreducibility test and the factor split
-  over GF(p).  GF(p^e)[x] is the FieldElem-list ``_fx_*`` layer.
+  (``mod`` None or p): a product, a division and a power, under the
+  Bareiss resultants and the product in GF(p^e).
+* One kernel for every GF(q)[x], q = p^e, the ``_fq_*`` functions: each
+  coefficient's e digits take slots of width 2e - 1 of one int list over
+  GF(p), so a product is one ``_zx_*`` product and one reduction per
+  coefficient.  Division, monic gcd and power mod f are built on it.
 * Roots in GF(p^e): :func:`frobenius_orbits` of a polynomial over GF(p),
-  by distinct-degree factorization and Cantor-Zassenhaus equal-degree
-  splitting, and :func:`common_roots` of two polynomials over GF(p^e).
+  by distinct-degree factorization, and :func:`common_roots` of two over
+  GF(p^e), through one Cantor-Zassenhaus equal-degree split.
 * :class:`UniPoly`, dense univariate polynomials over Q (lowest degree
   first): resultants, their content and their Newton polygons.
 * :class:`SparsePoly`, sparse polynomials in a fixed number of variables
@@ -43,7 +45,7 @@ import operator
 import random
 import sys
 from fractions import Fraction
-from itertools import product
+from itertools import compress, product
 from math import gcd, lcm
 from typing import NamedTuple
 
@@ -171,55 +173,25 @@ def _power(base, n: int, one, mul):
     return result
 
 
-def _zx_pow(a, k: int, mod=None, f=None):
-    """a^k, k >= 0; with a nonzero f, a^k mod f."""
-
-    def times(x, y):
-        xy = _zx_mul_sub(x, y, [], [], mod)
-        return xy if f is None else _zx_divmod(xy, f, mod)[1]
-
-    return _power(a if f is None else _zx_divmod(a, f, mod)[1], k, [1], times)
-
-
-def _zx_gcd(a, b, mod):
-    """The monic gcd in GF(mod)[x] ([] when both are zero)."""
-    while b:
-        a, b = b, _zx_divmod(a, b, mod)[1]
-    if a and a[-1] != 1:
-        inv = pow(a[-1], -1, mod)
-        a = [c * inv % mod for c in a]
-    return a
-
-
-def _gfp_is_irreducible(f: list[int], p: int) -> bool:
-    # Rabin's test: x^(p^e) == x mod f, and gcd(x^(p^(e/q)) - x, f) = 1
-    # for every prime q dividing e.
-    e = len(f) - 1
-    if e == 1:
-        return True
-    x = [0, 1]
-    t = x
-    for _ in range(e):
-        t = _zx_pow(t, p, p, f)
-    if t != x:
-        return False
-    for q in {q for q, _ in factor(e)}:
-        t = x
-        for _ in range(e // q):
-            t = _zx_pow(t, p, p, f)
-        if len(_zx_gcd(_zx_mul_sub(t, [1], x, [1], p), f, p)) > 1:
-            return False
-    return True
+def _zx_pow(a, k: int, mod=None):
+    """a^k, k >= 0."""
+    return _power(a, k, [1], lambda x, y: _zx_mul_sub(x, y, [], [], mod))
 
 
 def _smallest_irreducible(p: int, e: int) -> tuple[int, ...]:
+    """The smallest monic irreducible f of degree e > 1 over GF(p), by Rabin's test:
+    x^(p^e) = x mod f, and gcd(x^(p^(e/q)) - x, f) = 1 for every prime q dividing e."""
+    base, x = GF(p), [0, 1]
     # candidates in lexicographic order of (constant term, x-coefficient,
     # ...), from constant term 1: with constant term 0 a candidate of degree
     # e > 1 is divisible by x
     for lower in product(range(1, p), *[range(p)] * (e - 1)):
-        cand = list(lower) + [1]
-        if _gfp_is_irreducible(cand, p):
-            return tuple(cand)
+        f = list(lower) + [1]
+        if _fq_powmod(x, p**e, f, base) == x and all(
+            _fq_gcd(_zx_mul_sub(t, [1], x, [1], p), f, base) == [1]
+            for t in (_fq_powmod(x, p ** (e // q), f, base) for q, _ in factor(e))
+        ):
+            return tuple(f)
     raise ArithmeticError("no irreducible polynomial found")  # unreachable
 
 
@@ -372,117 +344,130 @@ class FieldElem:
         return f"{list(self.coeffs)}"
 
 
-# -- GF(p^e)[x] on lists of FieldElem (lowest degree first, trimmed) -------
+# -- GF(q)[x], q = p^e, on packed int lists ----------------------------------
+# A polynomial over GF(p^e) is one int list over GF(p): coefficient i holds
+# its e digits (lowest first) in slots i*w ... i*w + e - 1, w = 2e - 1, and
+# zeros in the e - 1 slots above them; the list is trimmed.  Two digit
+# sequences multiply into 2e - 1 slots, so the int-list product of two packed
+# lists keeps each coefficient of the product in its own slots, and one
+# reduction modulo the field's modulus per coefficient finishes it (Kronecker
+# substitution; von zur Gathen and Gerhard, *Modern Computer Algebra*, ch. 8).
+# For e = 1 the list is the GF(p)[x] polynomial itself.
 
 
-def _fx_sub(a, b, field):
-    out = list(a) + [field.zero] * (len(b) - len(a))
-    for i, c in enumerate(b):
-        out[i] = out[i] - c
+def _fq_pack(coeffs: list[FieldElem], field: GF) -> list[int]:
+    """A polynomial over ``field`` given by its coefficients, packed."""
+    w = 2 * field.e - 1
+    out = [0] * (w * len(coeffs))
+    for i, c in enumerate(coeffs):
+        out[i * w : i * w + field.e] = c.coeffs
     return _trim(out)
 
 
-def _fx_mul(a, b, field):
-    if not a or not b:
-        return []
-    out = [field.zero] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b, i):
-                if y:
-                    out[j] = out[j] + x * y
-    return _trim(out)
+def _fq_reduce(a: list[int], field: GF) -> list[int]:
+    """A packed list whose slots hold any ints, each coefficient reduced
+    modulo the field's modulus and every slot mod p, trimmed; changes a."""
+    p, e, w = field.p, field.e, 2 * field.e - 1
+    if e > 1:
+        low = field.modulus[:-1]
+        while a and not any(a[-w:]):  # zero slots stay zero
+            del a[-w:]
+        for s in range(0, len(a), w):
+            if any(a[s + e : s + w]):
+                for t in range(min(s + w, len(a)) - 1, s + e - 1, -1):
+                    c, a[t] = a[t] % p, 0
+                    if c:
+                        for i, m in enumerate(low, t - e):
+                            a[i] -= c * m
+    return _trim([v % p for v in a])
 
 
-def _fx_divmod(a, b):
-    """(quotient, remainder) for a nonzero divisor b."""
-    one = b[-1].field.one
-    inv = one if b[-1] == one else b[-1].inverse()  # most divisors are monic
-    a = list(a)
-    q = [inv.field.zero] * max(0, len(a) - len(b) + 1)
-    while len(a) >= len(b):
-        c = a[-1] * inv
-        shift = len(a) - len(b)
-        q[shift] = c
-        for i, y in enumerate(b[:-1], shift):
-            if y:
-                a[i] = a[i] - c * y
-        a.pop()
-        _trim(a)
-    return q, a
+def _fq_mul(a, b, field: GF) -> list[int]:
+    return _fq_reduce(_zx_mul_sub(a, b, [], []), field)
 
 
-def _fx_gcd(a, b):
+def _fq_inverse(a, field: GF) -> list[int]:
+    """1 / (the leading coefficient of a nonzero a), packed."""
+    w = 2 * field.e - 1
+    return _trim(list(field.elem(a[(len(a) - 1) // w * w :]).inverse().coeffs))
+
+
+def _fq_divmod(a, b, field: GF):
+    """(q, r) with a = q*b + r and deg r < deg b, for a nonzero b.
+
+    Long division from the top, on a copy of a.  A step reduces the top
+    coefficient left, divides it by lead(b) unless b is monic, and subtracts
+    that multiple of b slot by slot; every product stays in its
+    coefficient's slots, so the remainder is reduced once, at the end.
+    """
+    if field.e == 1:
+        return _zx_divmod(a, b, field.p)
+    w = 2 * field.e - 1
+    top = (len(b) - 1) // w * w  # the first slot of b's leading coefficient
+    inv = None if b[top:] == [1] else _fq_inverse(b, field)
+    n = (len(a) - 1) // w * w - top  # the first slot of the quotient's leading coefficient
+    if inv and n > top:  # a quotient longer than b: divide by b/lead(b) instead
+        q, r = _fq_divmod(a, _fq_mul(b, inv, field), field)
+        return _fq_mul(q, inv, field), r
+    r = list(a) + [0] * (w - 1)
+    q = [0] * max(0, n + w)
+    terms = [(j, b[j]) for j in compress(range(len(b)), b)]  # b's nonzero slots
+    for k in range(n, -1, -w):
+        c = r[k + top : k + top + w]
+        if any(c):
+            c = _fq_reduce(c, field)
+            c = _fq_mul(c, inv, field) if inv else c
+            q[k : k + len(c)] = c
+            for i, v in enumerate(c, k):
+                if v:
+                    for j, u in terms:
+                        r[i + j] -= v * u
+    del r[top:]
+    return _trim(q), _fq_reduce(r, field)
+
+
+def _fq_gcd(a, b, field: GF) -> list[int]:
     """The monic gcd ([] when both are zero)."""
     while b:
-        a, b = b, _fx_divmod(a, b)[1]
-    if a:
-        inv = a[-1].inverse()
-        a = [c * inv for c in a]
-    return a
+        a, b = b, _fq_divmod(a, b, field)[1]
+    return _fq_mul(a, _fq_inverse(a, field), field) if a else a
 
 
-def _fx_powmod(base, n: int, modulus, field):
-    return _power(
-        _fx_divmod(base, modulus)[1], n, [field.one],
-        lambda x, y: _fx_divmod(_fx_mul(x, y, field), modulus)[1],
-    )
+def _fq_powmod(a, n: int, f, field: GF) -> list[int]:
+    """a^n mod f, for f of degree at least 1."""
+    return _power(_fq_divmod(a, f, field)[1], n, [1],
+                  lambda x, y: _fq_divmod(_fq_mul(x, y, field), f, field)[1])
 
 
-def _fx_split(f, field, rng: random.Random):
-    """A proper monic factor of a monic f over ``field`` = GF(q) that is a
-    product of distinct linear factors, by the equal-degree split of
-    Cantor and Zassenhaus (1981): for a random r, gcd(f, r^((q - 1)/2) - 1),
-    or for q = 2^e the trace map, gcd(f, r + r^2 + r^4 + ... + r^(2^(e-1))).
-    Each draw splits f with probability about 1/2, and any proper factor
-    will do: the callers' results do not depend on which one is found."""
-    while True:
-        r = _trim([field.elem([rng.randrange(field.p) for _ in range(field.e)])
-                      for _ in range(len(f) - 1)])
-        if field.p == 2:
-            w = t = r
-            for _ in range(field.e - 1):
-                t = _fx_divmod(_fx_mul(t, t, field), f)[1]
-                w = _fx_sub(w, t, field)  # + and - agree in characteristic 2
-        else:
-            w = _fx_powmod(r, (field.order - 1) // 2, f, field)
-            w = _fx_sub(w, [field.one], field)
-        g = _fx_gcd(f, w)
-        if 1 < len(g) < len(f):
-            return g
-
-
-def _fx_roots(f, field, rng: random.Random) -> list:
-    """The roots of f, a monic product of distinct linear factors over
-    ``field``."""
-    if len(f) <= 2:
-        return [-f[0]] if len(f) == 2 else []
-    g = _fx_split(f, field, rng)
-    return _fx_roots(g, field, rng) + _fx_roots(_fx_divmod(f, g)[0], field, rng)
-
-
-def _gfp_factors(f: list[int], degree: int, p: int, rng: random.Random) -> list[list[int]]:
+def _split(f, degree: int, field: GF, rng: random.Random, every: bool = True) -> list:
     """The monic irreducible factors of f, a monic product of distinct
-    irreducibles of one ``degree`` over GF(p), on int lists: the
-    equal-degree split of Cantor and Zassenhaus, gcd(f, r^((p^degree -
-    1)/2) - 1) for a random r, or for p = 2 the trace map gcd(f, r + r^2 +
-    ... + r^(2^(degree - 1)))."""
-    if len(f) - 1 <= degree:
-        return [f] if len(f) > 1 else []
+    irreducibles of one ``degree`` over ``field`` = GF(q), or with ``every``
+    False one of them, found in the smaller part of each split.
+
+    The equal-degree split of Cantor and Zassenhaus (1981): for a random r,
+    gcd(f, r^((q^degree - 1)/2) - 1), or for q = 2^e the trace map
+    gcd(f, r + r^2 + ... + r^(2^(e*degree - 1))), splits f with probability
+    about 1/2.  The callers' results do not depend on which factor is found.
+    """
+    w, p = 2 * field.e - 1, field.p
+    n = (len(f) - 1) // w
+    if n <= degree:
+        return [f] if n > 0 else []
     while True:
-        r = _trim([rng.randrange(p) for _ in range(len(f) - 1)])
+        s = t = _fq_reduce([rng.randrange(p) for _ in range(n * w)], field)
         if p == 2:
-            w = t = r
-            for _ in range(degree - 1):
-                t = _zx_divmod(_zx_mul_sub(t, t, [], [], p), f, p)[1]
-                w = _zx_mul_sub(w, [1], t, [1], p)  # + and - agree in characteristic 2
+            for _ in range(field.e * degree - 1):
+                t = _fq_divmod(_fq_mul(t, t, field), f, field)[1]
+                s = _zx_mul_sub(s, [1], t, [1], 2)  # + and - agree in characteristic 2
         else:
-            w = _zx_mul_sub(_zx_pow(r, (p**degree - 1) // 2, p, f), [1], [1], [1], p)
-        g = _zx_gcd(f, w, p)
-        if 1 < len(g) < len(f):
-            return _gfp_factors(g, degree, p, rng) + _gfp_factors(
-                _zx_divmod(f, g, p)[0], degree, p, rng
-            )
+            s = _fq_powmod(s, (field.order**degree - 1) // 2, f, field)
+            s = _zx_mul_sub(s, [1], [1], [1], p)
+        g = _fq_gcd(f, s, field)
+        if 0 < (len(g) - 1) // w < n:
+            parts = g, _fq_divmod(f, g, field)[0]
+            if every:
+                return [h for part in parts for h in _split(part, degree, field, rng)]
+            return _split(min(parts, key=len), degree, field, rng, False)
 
 
 def frobenius_orbits(f: list[int], field: GF) -> list[tuple[FieldElem, int]]:
@@ -491,37 +476,26 @@ def frobenius_orbits(f: list[int], field: GF) -> list[tuple[FieldElem, int]]:
     divides e, with that degree.  The orbit is that root's images under
     x -> x^p, and together the orbits hold each root in the field once.
 
-    gcd(f, x^(p^e) - x) keeps exactly those factors, once each, on int
-    lists; distinct-degree factorization groups them by degree and an
-    equal-degree split separates each group over GF(p), also on int lists.
-    A root of each factor is then split off over GF(p^e), one linear factor
-    at a time.
+    gcd(f, x^(p^e) - x) keeps exactly those factors, once each;
+    distinct-degree factorization groups them by degree, and :func:`_split`
+    separates each group over GF(p), then one root of each factor over GF(p^e).
     """
     p, e = field.p, field.e
     if len(f) < 2:
         return []
-    rng = random.Random(0)
-    x = [0, 1]
-    t = x
-    for _ in range(e):
-        t = _zx_pow(t, p, p, f)
-    rest = _zx_gcd(f, _zx_mul_sub(t, [1], x, [1], p), p)
+    base, rng, x = GF(p), random.Random(0), [0, 1]
+    rest = _fq_gcd(f, _zx_mul_sub(_fq_powmod(x, p**e, f, base), [1], x, [1], p), base)
     orbits = []
     t = x
     for degree in range(1, e + 1):
         if len(rest) < 2:
             break
-        t = _zx_pow(t, p, p, rest)
-        group = _zx_gcd(rest, _zx_mul_sub(t, [1], x, [1], p), p)
-        if len(group) < 2:
-            continue
-        rest = _zx_divmod(rest, group, p)[0]
-        for phi in _gfp_factors(group, degree, p, rng):
-            phi = [field.elem(c) for c in phi]
-            while len(phi) > 2:
-                g = _fx_split(phi, field, rng)
-                phi = min(g, _fx_divmod(phi, g)[0], key=len)
-            orbits.append((-phi[0], degree))
+        t = _fq_powmod(t, p, rest, base)
+        group = _fq_gcd(rest, _zx_mul_sub(t, [1], x, [1], p), base)  # [1] when none
+        rest = _fq_divmod(rest, group, base)[0]
+        for phi in _split(group, degree, base, rng):
+            (root,) = _split(_fq_pack([field.elem(c) for c in phi], field), 1, field, rng, False)
+            orbits.append((field.elem([-v for v in root[:e]]), degree))
     return orbits
 
 
@@ -529,12 +503,13 @@ def common_roots(f: list, g: list, field: GF) -> list[FieldElem]:
     """The distinct common roots in ``field`` = GF(q) of f and g in
     GF(q)[x] (lists of FieldElem, lowest degree first): the linear factors
     of gcd(f, g, x^q - x), split off by Cantor and Zassenhaus."""
-    h = _fx_gcd(_trim(list(f)), _trim(list(g)))
-    if len(h) < 2:
+    w = 2 * field.e - 1
+    h = _fq_gcd(_fq_pack(f, field), _fq_pack(g, field), field)
+    if len(h) <= w:
         return []
-    x = [field.zero, field.one]
-    h = _fx_gcd(h, _fx_sub(_fx_powmod(x, field.order, h, field), x, field))
-    return _fx_roots(h, field, random.Random(0))
+    x = [0] * w + [1]
+    h = _fq_gcd(h, _zx_mul_sub(_fq_powmod(x, field.order, h, field), [1], x, [1], field.p), field)
+    return [field.elem([-v for v in r[: field.e]]) for r in _split(h, 1, field, random.Random(0))]
 
 
 # ---------------------------------------------------------------------------

@@ -78,8 +78,8 @@ class _ValFields(NamedTuple):
 class ValParams(_ValFields):
     """IDF data (d, k, r, e) together with parameter valuations.
 
-    Validity requires a prime p with IdfWitness(p, r, e) holding for
-    (d, k); the constructor raises DomainError otherwise.
+    Validity requires a finite v_alpha and a prime p with IdfWitness(p, r,
+    e) holding for (d, k); the constructor raises DomainError otherwise.
     """
 
     __slots__ = ()
@@ -89,6 +89,8 @@ class ValParams(_ValFields):
     def __new__(cls, d: int, k: int, r: int, e: int, v_alpha: ExtVal, v_beta: ExtVal):
         if not isinstance(v_alpha, ExtVal) or not isinstance(v_beta, ExtVal):
             raise DomainError("parameter valuations must be ExtVal")
+        if v_alpha.is_infinite:
+            raise DomainError("v_alpha = inf, i.e. alpha = 0, does not define a degree-d map")
         # a bound on r, so that d - r >= 2 is factored and no larger
         if not 0 <= r <= k < d - 1:
             raise DomainError(f"invalid index r = {r} for (d, k) = ({d}, {k})")
@@ -120,7 +122,7 @@ def image_val(v_x: ExtVal, params: ValParams) -> TropVal:
     elif v_x < 0:
         t1 = va + e + d * v_x
         t2 = va + (d - r) * v_x
-        if not t1.is_infinite and not t2.is_infinite and t1 == t2:
+        if t1 == t2:
             raise DomainError(
                 "first two minimum terms coincide; (r, e) is not IDF data"
             )

@@ -151,6 +151,15 @@ class TestExitCodes:
         ) == 2
         assert "--valpha" in capsys.readouterr().err
 
+    def test_alpha_zero_is_usage_error(self, capsys):
+        # alpha = 0 is no degree-d map, so an orbit or a case for it is no answer
+        data = "--d 5 --k 1 --r 0 --e 1"
+        for argv in (f"valdyn orbit {data} --valpha inf --vbeta -1 --start 0",
+                     f"valdyn classify {data} --valpha inf --vbeta inf"):
+            assert main(argv.split()) == 2
+            assert "alpha = 0" in capsys.readouterr().err
+        assert main(f"valdyn classify {data} --valpha 2 --vbeta inf".split()) == 0  # c = 0
+
     def test_malformed_profile_is_usage_error(self, capsys):
         assert main(["belyi", "ncrit", "--d", "4", "--profile", "1,x"]) == 2
         assert "--profile" in capsys.readouterr().err

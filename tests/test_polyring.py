@@ -16,12 +16,13 @@ from bicrit.polyring import (
     SparsePoly,
     UniPoly,
     _bareiss_zx,
-    _fx_divmod,
-    _fx_mul,
-    _fx_powmod,
+    _fq_divmod,
+    _fq_gcd,
+    _fq_mul,
+    _fq_pack,
+    _fq_powmod,
     _zx_divmod,
     _zx_exact_div,
-    _zx_gcd,
     _zx_mul_sub,
     _zx_pow,
     bivariate_resultant,
@@ -34,6 +35,8 @@ from util import (
     dict_mul,
     exact_div,
     fraction_bivariate_resultant,
+    fx_divmod,
+    fx_mul,
     poly_divmod,
     power_inverse,
     prs_resultant,
@@ -221,7 +224,7 @@ class TestIntListKernel:
         want = [1]
         for _ in range(k):
             want = _mod_p(poly_divmod(UniPoly(want) * UniPoly(a), UniPoly(f))[1], p)
-        assert _zx_pow(a, k, p, f) == want
+        assert _fq_powmod(a, k, f, GF(p)) == want
         assert _zx_pow(a, k, p) == _mod_p(UniPoly(a) ** k, p)
 
     @settings(max_examples=150, deadline=None)
@@ -230,7 +233,7 @@ class TestIntListKernel:
         common = data.draw(int_polys(0, p - 1, 3))
         a = _zx_mul_sub(data.draw(int_polys(0, p - 1, 5)), common, [], [], p)
         b = _zx_mul_sub(data.draw(int_polys(0, p - 1, 5)), common, [], [], p)
-        g = _zx_gcd(a, b, p)
+        g = _fq_gcd(a, b, GF(p))
         if not a and not b:
             assert g == []
             return
@@ -238,7 +241,7 @@ class TestIntListKernel:
         qa, ra = _zx_divmod(a, g, p)
         qb, rb = _zx_divmod(b, g, p)
         assert ra == rb == []
-        assert _zx_gcd(qa, qb, p) == [1]  # nothing more in common
+        assert _fq_gcd(qa, qb, GF(p)) == [1]  # nothing more in common
         if common:
             assert _zx_divmod(g, common, p)[1] == []
 
@@ -569,12 +572,84 @@ class TestFiniteFields:
         assert x * F7.elem(5) == F7.one and x != F7.one
 
 
-def _mul(a, b, field):
-    out = [field.zero] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] = out[i + j] + x * y
-    return out
+def unpack(a, field):
+    """A packed int list as a FieldElem list; asserts the canonical form:
+    reduced slots, zeros above each coefficient's e digits, trimmed."""
+    e, w = field.e, 2 * field.e - 1
+    assert all(0 <= v < field.p for v in a) and (not a or a[-1])
+    assert not any(a[i] for s in range(0, len(a), w) for i in range(s + e, min(s + w, len(a))))
+    return [field.elem(a[s : s + e]) for s in range(0, len(a), w)]
+
+
+def fx_gcd(a, b):
+    """The monic gcd of two FieldElem lists by Euclid on the oracle division."""
+    while b:
+        a, b = b, fx_divmod(a, b)[1]
+    return [c * a[-1].inverse() for c in a] if a else a
+
+
+PACKED_FIELDS = ((2, 4), (3, 3), (5, 2), (7, 1))
+
+
+def field_polys(field, max_size, nonzero=False):
+    """Trimmed FieldElem lists over ``field``, nonzero if asked."""
+    digits = st.lists(st.integers(0, field.p - 1), min_size=field.e, max_size=field.e)
+    polys = st.lists(digits.map(field.elem), max_size=max_size).map(_trimmed)
+    return polys.filter(bool) if nonzero else polys
+
+
+class TestPackedFieldPolys:
+    """The packed GF(q)[x] kernel against FieldElem lists (tests/util.py)."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), pe=st.sampled_from(PACKED_FIELDS))
+    def test_product(self, data, pe):
+        field = GF(*pe)
+        a, b = (data.draw(field_polys(field, 6)) for _ in range(2))  # zero operands too
+        got = unpack(_fq_mul(_fq_pack(a, field), _fq_pack(b, field), field), field)
+        assert got == fx_mul(a, b, field)
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), pe=st.sampled_from(PACKED_FIELDS))
+    def test_divmod(self, data, pe):
+        field = GF(*pe)
+        a = data.draw(field_polys(field, 9))
+        b = data.draw(field_polys(field, 5, nonzero=True))
+        monic = [c * b[-1].inverse() for c in b]
+        for d in (b, monic, b[-1:], monic[-1:]):  # non-monic, monic and constant divisors
+            q, r = _fq_divmod(_fq_pack(a, field), _fq_pack(d, field), field)
+            assert (unpack(q, field), unpack(r, field)) == fx_divmod(a, d)
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), pe=st.sampled_from(PACKED_FIELDS))
+    def test_monic_gcd(self, data, pe):
+        field = GF(*pe)
+        common = data.draw(field_polys(field, 3))
+        a, b = (fx_mul(data.draw(field_polys(field, 4)), common, field) for _ in range(2))
+        g = unpack(_fq_gcd(_fq_pack(a, field), _fq_pack(b, field), field), field)
+        assert g == fx_gcd(a, b)
+        assert not g or g[-1] == field.one
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), pe=st.sampled_from(PACKED_FIELDS), n=st.integers(0, 9))
+    def test_power_mod_f(self, data, pe, n):
+        field = GF(*pe)
+        a = data.draw(field_polys(field, 5))
+        f = data.draw(field_polys(field, 4).filter(lambda f: len(f) > 1))  # any leading coefficient
+        want = [field.one]
+        for _ in range(n):
+            want = fx_divmod(fx_mul(want, a, field), f)[1]
+        assert unpack(_fq_powmod(_fq_pack(a, field), n, _fq_pack(f, field), field), field) == want
+
+    def test_zero_polynomial_has_every_root(self):
+        F9 = GF(3, 2)
+        x2_plus_1 = [F9.one, F9.zero, F9.one]
+        for zero in ([], [F9.zero, F9.zero]):
+            assert sorted(r.coeffs for r in common_roots(zero, x2_plus_1, F9)) == sorted(
+                r.coeffs for r in common_roots(x2_plus_1, x2_plus_1, F9)
+            )
+            assert common_roots(x2_plus_1, zero, F9) == common_roots(x2_plus_1, x2_plus_1, F9)
+            assert common_roots(zero, [], F9) == []
 
 
 def _poly_value(coeffs, x, field):
@@ -632,7 +707,7 @@ class TestRootFinding:
         extra = data.draw(st.sampled_from(elements[1:]))
         f = product_of(shared + f_only + shared, extra)  # repeated roots
         g = product_of(shared + g_only, field.one)
-        got = common_roots(_mul(f, quad, field), _mul(g, quad, field), field)
+        got = common_roots(fx_mul(f, quad, field), fx_mul(g, quad, field), field)
         want = [x for x in elements
                 if not _poly_value(f, x, field) and not _poly_value(g, x, field)]
         assert sorted(x.coeffs for x in got) == [x.coeffs for x in want]
@@ -899,22 +974,22 @@ class TestPower:
 
         for k in (0, 1, n):
             assert _zx_pow(a, k, p) == left_to_right(a, k, [1], times)
-            assert _zx_pow(a, k, p, f) == left_to_right(a, k, [1], times_mod_f)
+            assert _fq_powmod(a, k, f, GF(p)) == left_to_right(a, k, [1], times_mod_f)
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data(), pe=st.sampled_from(((2, 3), (3, 2), (5, 1))), n=st.integers(2, 12))
-    def test_field_elem_lists_mod_a_polynomial(self, data, pe, n):
+    def test_packed_lists_mod_a_polynomial(self, data, pe, n):
         p, e = pe
         field = GF(p, e)
         elems = st.lists(st.integers(0, p - 1), min_size=e, max_size=e).map(field.elem)
-        a = _trimmed(data.draw(st.lists(elems, max_size=4)))
-        f = data.draw(st.lists(elems, min_size=1, max_size=3)) + [field.one]
+        a = _fq_pack(_trimmed(data.draw(st.lists(elems, max_size=4))), field)
+        f = _fq_pack(data.draw(st.lists(elems, min_size=1, max_size=3)) + [field.one], field)
 
         def times(x, y):
-            return _fx_divmod(_fx_mul(x, y, field), f)[1]
+            return _fq_divmod(_fq_mul(x, y, field), f, field)[1]
 
         for k in (0, 1, n):
-            assert _fx_powmod(a, k, f, field) == left_to_right(a, k, [field.one], times)
+            assert _fq_powmod(a, k, f, field) == left_to_right(a, k, [1], times)
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), pe=st.sampled_from(((2, 4), (3, 2), (7, 1))), n=st.integers(2, 40))

@@ -39,6 +39,13 @@ class TestValParams:
         with pytest.raises(DomainError):
             params(5, 1, 0, 2, -1, -1)  # no prime with v_p(5) = 2
 
+    def test_rejects_alpha_zero(self):
+        # v_alpha = inf is alpha = 0, no degree-d map; v_beta = inf (c = 0) is one
+        for vb in (ExtVal(-1), ExtVal(2), INFINITY):
+            with pytest.raises(DomainError, match="alpha = 0"):
+                ValParams(5, 1, 0, 1, INFINITY, vb)
+        assert ValParams(5, 1, 0, 1, ExtVal(2), INFINITY).v_beta == INFINITY
+
 
 class TestImageVal:
     def test_negative_input(self):

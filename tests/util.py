@@ -445,3 +445,35 @@ def dict_mul(P, Q):
             key = tuple(x + y for x, y in zip(ea, eb))
             acc[key] = acc.get(key, 0) + va * vb
     return SparsePoly(P.nvars, acc, P.p)
+
+
+def _trimmed(a):
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def fx_mul(a, b, field):
+    """The product of two polynomials over GF(p^e) given as FieldElem lists
+    (lowest degree first), one FieldElem product at a time; trimmed."""
+    out = [field.zero] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b, i):
+            out[j] = out[j] + x * y
+    return _trimmed(out)
+
+
+def fx_divmod(a, b):
+    """(quotient, remainder) of FieldElem lists by long division, for a
+    trimmed a and a trimmed, nonzero b; both trimmed."""
+    inv = b[-1].inverse()
+    rem = list(a)
+    quo = [inv.field.zero] * max(0, len(rem) - len(b) + 1)
+    while len(rem) >= len(b):
+        c = rem[-1] * inv
+        shift = len(rem) - len(b)
+        quo[shift] = c
+        for i, y in enumerate(b, shift):
+            rem[i] = rem[i] - c * y
+        _trimmed(rem)
+    return _trimmed(quo), rem
