@@ -359,8 +359,8 @@ def _fq_pack(coeffs: list[FieldElem], field: GF) -> list[int]:
     """A polynomial over ``field`` given by its coefficients, packed."""
     w = 2 * field.e - 1
     out = [0] * (w * len(coeffs))
-    for i, c in enumerate(coeffs):
-        out[i * w : i * w + field.e] = c.coeffs
+    for j, digits in enumerate(zip(*[c.coeffs for c in coeffs])):
+        out[j::w] = digits  # digit j of every coefficient
     return _trim(out)
 
 
@@ -370,8 +370,6 @@ def _fq_reduce(a: list[int], field: GF) -> list[int]:
     p, e, w = field.p, field.e, 2 * field.e - 1
     if e > 1:
         low = field.modulus[:-1]
-        while a and not any(a[-w:]):  # zero slots stay zero
-            del a[-w:]
         for s in range(0, len(a), w):
             if any(a[s + e : s + w]):
                 for t in range(min(s + w, len(a)) - 1, s + e - 1, -1):
@@ -395,40 +393,43 @@ def _fq_inverse(a, field: GF) -> list[int]:
 def _fq_divmod(a, b, field: GF):
     """(q, r) with a = q*b + r and deg r < deg b, for a nonzero b.
 
-    Long division from the top, on a copy of a.  A step reduces the top
-    coefficient left, divides it by lead(b) unless b is monic, and subtracts
-    that multiple of b slot by slot; every product stays in its
-    coefficient's slots, so the remainder is reduced once, at the end.
+    Long division from the top, on a copy of a.  A step takes the top
+    coefficient with a nonzero slot, times 1/lead(b) unless b is monic,
+    modulo the field's modulus, and subtracts that multiple of b's lower
+    coefficients slot by slot; every product stays in its coefficient's
+    slots, so the remainder is reduced once, at the end.  Zero coefficients
+    of a sparse a cost no step.
     """
-    if field.e == 1:
-        return _zx_divmod(a, b, field.p)
-    w = 2 * field.e - 1
+    p, e, w = field.p, field.e, 2 * field.e - 1
+    if e == 1:
+        return _zx_divmod(a, b, p)
     top = (len(b) - 1) // w * w  # the first slot of b's leading coefficient
+    if len(a) <= top:  # deg a < deg b
+        return [], _fq_reduce(list(a), field)
     inv = None if b[top:] == [1] else _fq_inverse(b, field)
-    n = (len(a) - 1) // w * w - top  # the first slot of the quotient's leading coefficient
-    if inv and n > top:  # a quotient longer than b: divide by b/lead(b) instead
-        q, r = _fq_divmod(a, _fq_mul(b, inv, field), field)
-        return _fq_mul(q, inv, field), r
-    r = list(a) + [0] * (w - 1)
-    q = [0] * max(0, n + w)
-    terms = [(j, b[j]) for j in compress(range(len(b)), b)]  # b's nonzero slots
-    for k in range(n, -1, -w):
-        c = r[k + top : k + top + w]
-        if any(c):
-            c = _fq_reduce(c, field)
-            c = _fq_mul(c, inv, field) if inv else c
-            q[k : k + len(c)] = c
-            for i, v in enumerate(c, k):
-                if v:
-                    for j, u in terms:
-                        r[i + j] -= v * u
-    del r[top:]
-    return _trim(q), _fq_reduce(r, field)
+    r, q = list(a), [0] * (len(a) + w - top)
+    terms = [(j, b[j]) for j in compress(range(top), b)]  # nonzero slots below lead(b)
+    while True:
+        t = next(compress(range(len(r) - 1, -1, -1), reversed(r)), -1)  # r's top nonzero slot
+        del r[t + 1 :]
+        k = t // w * w - top  # the first slot of this step's quotient coefficient
+        if k < 0:
+            return _trim(q), _fq_reduce(r, field)
+        c = r[k + top :]
+        del r[k + top :]
+        c = _zx_divmod(_zx_mul_sub(c, inv, [], []) if inv else c, field.modulus, p)[1]
+        q[k : k + len(c)] = c
+        for i, v in enumerate(c, k):
+            if v:
+                for j, u in terms:
+                    r[i + j] -= v * u
 
 
 def _fq_gcd(a, b, field: GF) -> list[int]:
     """The monic gcd ([] when both are zero)."""
     while b:
+        if len(b) < 2 * field.e:  # b is a nonzero constant: the gcd is 1
+            return [1]
         a, b = b, _fq_divmod(a, b, field)[1]
     return _fq_mul(a, _fq_inverse(a, field), field) if a else a
 
@@ -485,8 +486,7 @@ def frobenius_orbits(f: list[int], field: GF) -> list[tuple[FieldElem, int]]:
         return []
     base, rng, x = GF(p), random.Random(0), [0, 1]
     rest = _fq_gcd(f, _zx_mul_sub(_fq_powmod(x, p**e, f, base), [1], x, [1], p), base)
-    orbits = []
-    t = x
+    orbits, t = [], x
     for degree in range(1, e + 1):
         if len(rest) < 2:
             break

@@ -43,6 +43,7 @@ from util import (
     reduce_coeff,
     reduce_poly,
     resultant,
+    trimmed,
 )
 
 
@@ -164,21 +165,14 @@ def int_polys(lo, hi, size, nonzero=False):
     coefficients, or for ``nonzero`` up to ``size`` below a nonzero top."""
     low = st.lists(st.integers(lo, hi), max_size=size)
     if not nonzero:
-        return low.map(_trimmed)
+        return low.map(trimmed)
     return st.builds(lambda a, top: a + [top], low, st.integers(lo, hi).filter(bool))
-
-
-def _trimmed(a):
-    a = list(a)
-    while a and not a[-1]:
-        a.pop()
-    return a
 
 
 def _mod_p(f, p):
     """A UniPoly over Q with denominators prime to p, as a trimmed int
     list mod p."""
-    return _trimmed(reduce_coeff(c, GF(p)).coeffs[0] for c in f.coeffs)
+    return trimmed(reduce_coeff(c, GF(p)).coeffs[0] for c in f.coeffs)
 
 
 class TestIntListKernel:
@@ -594,7 +588,7 @@ PACKED_FIELDS = ((2, 4), (3, 3), (5, 2), (7, 1))
 def field_polys(field, max_size, nonzero=False):
     """Trimmed FieldElem lists over ``field``, nonzero if asked."""
     digits = st.lists(st.integers(0, field.p - 1), min_size=field.e, max_size=field.e)
-    polys = st.lists(digits.map(field.elem), max_size=max_size).map(_trimmed)
+    polys = st.lists(digits.map(field.elem), max_size=max_size).map(trimmed)
     return polys.filter(bool) if nonzero else polys
 
 
@@ -629,6 +623,27 @@ class TestPackedFieldPolys:
         g = unpack(_fq_gcd(_fq_pack(a, field), _fq_pack(b, field), field), field)
         assert g == fx_gcd(a, b)
         assert not g or g[-1] == field.one
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), pe=st.sampled_from(PACKED_FIELDS))
+    def test_sparse_operands(self, data, pe):
+        """A few nonzero coefficients up to degree 40, as the orbit scan of a
+        Frobenius-sparse shape gives: zero coefficients cost no division
+        step, and the results still match the oracle."""
+        field = GF(*pe)
+        digits = st.lists(st.integers(0, field.p - 1), min_size=field.e, max_size=field.e)
+
+        def sparse(size):
+            terms = data.draw(st.dictionaries(st.integers(0, size), digits.map(field.elem), max_size=4))
+            return trimmed(terms.get(i, field.zero) for i in range(size + 1))
+
+        a, b = sparse(40), sparse(20)
+        assume(b)
+        monic = [c * b[-1].inverse() for c in b]
+        for d in (b, monic):
+            q, r = _fq_divmod(_fq_pack(a, field), _fq_pack(d, field), field)
+            assert (unpack(q, field), unpack(r, field)) == fx_divmod(a, d)
+        assert unpack(_fq_gcd(_fq_pack(a, field), _fq_pack(b, field), field), field) == fx_gcd(a, b)
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), pe=st.sampled_from(PACKED_FIELDS), n=st.integers(0, 9))
@@ -982,7 +997,7 @@ class TestPower:
         p, e = pe
         field = GF(p, e)
         elems = st.lists(st.integers(0, p - 1), min_size=e, max_size=e).map(field.elem)
-        a = _fq_pack(_trimmed(data.draw(st.lists(elems, max_size=4))), field)
+        a = _fq_pack(trimmed(data.draw(st.lists(elems, max_size=4))), field)
         f = _fq_pack(data.draw(st.lists(elems, min_size=1, max_size=3)) + [field.one], field)
 
         def times(x, y):

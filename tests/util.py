@@ -447,7 +447,9 @@ def dict_mul(P, Q):
     return SparsePoly(P.nvars, acc, P.p)
 
 
-def _trimmed(a):
+def trimmed(a):
+    """The items of a as a list, without its trailing zeros."""
+    a = list(a)
     while a and not a[-1]:
         a.pop()
     return a
@@ -460,7 +462,7 @@ def fx_mul(a, b, field):
     for i, x in enumerate(a):
         for j, y in enumerate(b, i):
             out[j] = out[j] + x * y
-    return _trimmed(out)
+    return trimmed(out)
 
 
 def fx_divmod(a, b):
@@ -475,5 +477,5 @@ def fx_divmod(a, b):
         quo[shift] = c
         for i, y in enumerate(b, shift):
             rem[i] = rem[i] - c * y
-        _trimmed(rem)
-    return _trimmed(quo), rem
+        rem = trimmed(rem)
+    return trimmed(quo), rem
