@@ -19,7 +19,7 @@ import json
 import os
 import sys
 import time
-from collections.abc import Callable
+from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -38,7 +38,13 @@ EXIT_USAGE = 2
 # idf command loads neither pcf, polyring, belyi nor valdyn
 _IMPORTS = {
     "belyi": ("belyi_coeffs", "ncritical_form"),
-    "idf": ("conjecture_check", "find_idf_prime", "mordell_candidates", "scan_witnesses"),
+    "idf": (
+        "conjecture_check",
+        "find_idf_prime",
+        "mordell_candidates",
+        "scan_witnesses",
+        "witness_fields",
+    ),
     "valdyn": ("ValParams", "classify_case", "divergence_certificate", "orbit_val"),
     "pcf": (
         "DEFAULT_MONOMIAL_BUDGET",
@@ -104,19 +110,20 @@ def _parse(flag: str, text: str, convert):
 
 class _Table(NamedTuple):
     """A flat table: CSV rows, or a list of row objects at ``key`` of a
-    JSON report's result.  A row is a pair (lead, tag) of its first cell
-    and a tag whose ``cells(tag)`` are the other cells: rows with equal
-    tags share the text of those cells.  ``rows`` is emptied as it is
-    written."""
+    JSON report's result.  ``runs`` holds (lead, tags) pairs, one run of
+    rows each: row i of a run has the integer lead + i as its first cell
+    and a tag tags[i] whose ``cells(tag)`` tuple holds the other cells.
+    Rows with equal tags share one preformatted text of those cells, and
+    ``runs`` may be an iterator: it is read once.  No cell needs quoting
+    or escaping, in CSV or JSON: they are integers, true, false or empty."""
 
     key: str
     header: tuple[str, ...]
-    rows: list[tuple]
+    runs: Iterable[tuple[int, Sequence]]
     cells: Callable[[object], tuple]
 
 
-# rows per write: the text of a table is never held whole, and the rows
-# written are freed as the cached text of their tags grows
+# rows per write: the text of a table is never held whole
 _CHUNK = 1 << 12
 
 # a placeholder string value: json writes it as "\u0000", which no other
@@ -124,57 +131,61 @@ _CHUNK = 1 << 12
 _HOLE = "\0"
 
 
-def _write_rows(table: _Table, around, sep: str, opening: str, closing: str, empty: str):
+def _write_rows(table: _Table, row: str, sep: str, opening: str, closing: str, empty: str):
     """The table's rows between ``opening`` and ``closing`` with ``sep``
     between them, written _CHUNK rows at a time; ``empty`` alone for no
-    rows.  ``around(cells)`` gives the text before and after a row's lead
-    cell, once per distinct tag."""
+    rows.  ``row`` is the text of a row with %d at its lead cell and {i}
+    at cell i of ``cells(tag)``: ``row.format(*cells(tag))`` is made once
+    per distinct tag, and a chunk of rows is one %-format of the leads by
+    the join of their tags' texts."""
 
-    class Parts(dict):
+    class Templates(dict):
         def __missing__(self, tag):
-            parts = self[tag] = around(tuple(map(str, table.cells(tag))))
-            return parts
+            text = self[tag] = sep + row.format(*table.cells(tag))
+            return text
 
-    parts = Parts()
-    rows = table.rows
+    templates = Templates()
     write = sys.stdout.write
-    if not rows:
-        write(empty)
-        return
-    write(opening)
-    at = ""
-    while rows:
-        chunk = rows[:_CHUNK]
-        del rows[:_CHUNK]
-        write(at)
-        write(sep.join([f"{h}{lead}{t}" for lead, tag in chunk for h, t in (parts[tag],)]))
-        at = sep
-    write(closing)
+    started = False
+    for lead, tags in table.runs:
+        for at in range(0, len(tags), _CHUNK):
+            chunk = tags[at : at + _CHUNK]
+            text = "".join(map(templates.__getitem__, chunk)) % tuple(
+                range(lead + at, lead + at + len(chunk))
+            )
+            if not started:
+                write(opening)
+                text = text[len(sep) :]  # no separator before the first row
+                started = True
+            write(text)
+    write(closing if started else empty)
+
+
+def _slots(table: _Table) -> list[str]:
+    """A row's cells as _write_rows formats them: %d for the lead cell and
+    {i} for cell i of ``cells(tag)``."""
+    return ["%d", *map("{{{}}}".format, range(len(table.header) - 1))]
 
 
 def _write_csv(table: _Table) -> None:
-    """The table, header first; nothing at all for an empty table.  No
-    cell needs quoting: they are integers, true, false or empty."""
+    """The table, header first; nothing at all for an empty table."""
     header = ",".join(table.header) + "\r\n"
-    _write_rows(table, lambda cells: ("", "," + ",".join(cells) + "\r\n"), "", header, "", "")
+    _write_rows(table, ",".join(_slots(table)) + "\r\n", "", header, "", "")
 
 
 def _write_json(report, table: _Table) -> None:
     """The report with the table's row objects at ``result[table.key]``,
     byte for byte as ``json.dump(sort_keys=True, indent=2)`` writes it."""
     quote = json.encoder.encode_basestring_ascii  # how json.dump writes a str
-    hole = quote(_HOLE)[1:-1]  # the lead cell's text goes inside its quotes
-
-    def around(cells):
-        # a row object sits at depth 3 of the report, its fields at depth 4
-        fields = sorted(zip(table.header, (_HOLE, *cells)))
-        text = "".join(f"\n        {quote(k)}: {quote(v)}," for k, v in fields)
-        return f"      {{{text[:-1]}\n      }}".split(hole)
-
+    # a row object sits at depth 3 of the report, its fields at depth 4;
+    # its braces are doubled for str.format
+    fields = sorted(zip(table.header, _slots(table)))
+    text = "".join(f'\n        {quote(k)}: "{v}",' for k, v in fields)
+    row = f"      {{{{{text[:-1]}\n      }}}}"
     report["result"][table.key] = _HOLE
     before, after = json.dumps(report, sort_keys=True, indent=2).split(quote(_HOLE))
     sys.stdout.write(before)
-    _write_rows(table, around, ",\n", "[\n", "\n    ]", "[]")
+    _write_rows(table, row, ",\n", "[\n", "\n    ]", "[]")
     sys.stdout.write(after)
 
 
@@ -240,25 +251,26 @@ def _h_idf_scan(ns):
         ns.dmin = 2 * ns.k + 2  # echoed in the inputs block for exact re-runs
     print(f"scanning k={ns.k}, d in [{ns.dmin}, {ns.dmax}]", file=sys.stderr)
     k = ns.k
-    witnesses = scan_witnesses(ns.dmin, ns.dmax, k)
+    scan = scan_witnesses(ns.dmin, ns.dmax, k)
 
-    def cells(w):
-        return (k, "false", "", "", "") if w is None else (k, "true", w.p, w.r, w.e)
+    def cells(key):
+        w = witness_fields(key)
+        return (k, "false", "", "", "") if w is None else (k, "true", *w)
 
     payload = {
         "dmin": ns.dmin,
         "dmax": ns.dmax,
         "k": k,
-        "exceptions": [d for d, w in witnesses if w is None],
+        "exceptions": scan.exceptions,
         "range_note": "certifies only the scanned range; larger d are not decided",
     }
-    table = _Table("rows", ("d", "k", "has_idf", "p", "r", "e"), witnesses, cells)
+    table = _Table("rows", ("d", "k", "has_idf", "p", "r", "e"), scan.runs(), cells)
     return payload, "OK", table
 
 
 def _h_idf_mordell(ns):
-    rows = [(m.x, m) for m in mordell_candidates(ns.xmax)]
-    table = _Table("candidates", ("x", "y", "b", "c", "d"), rows, lambda m: (m.y, m.b, m.c, m.d))
+    runs = [(m.x, (m,)) for m in mordell_candidates(ns.xmax)]
+    table = _Table("candidates", ("x", "y", "b", "c", "d"), runs, lambda m: (m.y, m.b, m.c, m.d))
     return {"xmax": ns.xmax}, "OK", table
 
 

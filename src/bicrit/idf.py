@@ -20,10 +20,9 @@ in X (complete integral-point machinery is deliberately out of scope).
 
 from __future__ import annotations
 
-import gc
 from array import array
 from functools import partial
-from itertools import compress
+from itertools import chain, compress
 from math import gcd, isqrt
 from operator import not_
 from typing import NamedTuple
@@ -33,6 +32,7 @@ from .errors import DomainError, ResourceBudgetError
 
 __all__ = [
     "IdfRejection",
+    "IdfScan",
     "IdfWitness",
     "MORDELL_B_SET",
     "MORDELL_C_SET",
@@ -45,12 +45,14 @@ __all__ = [
     "mordell_candidates",
     "scan_exceptions",
     "scan_witnesses",
+    "witness_fields",
 ]
 
 
-# scan_witnesses returns one (d, witness) pair per degree, about 100 bytes
-# each: an `idf scan` run peaks at about 120 bytes a degree as CSV or as
-# JSON (74 MB at this limit), whose rows are written as text in chunks
+# scan_witnesses keeps 4 bytes a degree, the witness keys of its sieve
+# segments, and `idf scan` writes its rows from one text per distinct
+# witness: a run peaks at about 23 MB of RSS as CSV and 30 MB as JSON at
+# this limit, about 16 MB of it the interpreter (15 and 28 bytes a degree)
 SCAN_DMAX_LIMIT = 500_000
 
 
@@ -172,8 +174,8 @@ def _scan_segment(lo: int, hi: int, k: int):
 
     Returns (lo, key, rest): key[i] is p << 5 | e when the witness of
     lo + i is (p, 0, e) and 0 otherwise, and rest lists (i, (p, r, e))
-    for the witnesses with r >= 2.  (The key fits in 32 bits for
-    d < 2^27.)
+    for the witnesses with r >= 2 and (i, None) for the degrees with no
+    witness, in increasing i.  (The key fits in 32 bits for d < 2^27.)
     """
     n = hi - lo + 1
     primes = primes_upto(isqrt(hi))
@@ -206,67 +208,95 @@ def _scan_segment(lo: int, hi: int, k: int):
         if c > k:
             key[d - lo] = c << 5 | 1
         else:
-            w = _first_witness(d, k, factorize)
-            if w is not None:
-                rest.append((d - lo, w))
+            rest.append((d - lo, _first_witness(d, k, factorize)))
     return lo, key, rest
 
 
+def witness_fields(key) -> tuple[int, int, int] | None:
+    """(p, r, e) of a witness key of :meth:`IdfScan.runs`, or None for 0."""
+    if isinstance(key, tuple):
+        return key
+    return (key >> 5, 0, key & 31) if key else None
+
+
 class _Witnesses(dict):
-    """One IdfWitness record per distinct witness, by the keys of
-    :func:`_scan_segment`: p << 5 | e for (p, 0, e), (p, r, e) for any
-    other, and 0 for none."""
+    """One IdfWitness record per distinct witness key."""
 
     def __missing__(self, key):
-        if isinstance(key, tuple):
-            w = IdfWitness(*key)
-        else:
-            w = IdfWitness(key >> 5, 0, key & 31)
-        self[key] = w
+        w = self[key] = IdfWitness(*witness_fields(key))
         return w
 
 
-def scan_witnesses(d_min: int, d_max: int, k: int) -> list[tuple[int, IdfWitness | None]]:
-    """(d, smallest witness or None) for every d in [d_min, d_max].
+class IdfScan:
+    """The smallest witness of every degree of a scan, kept as the keys of
+    the sieve segments of :func:`_scan_segment`, 4 bytes a degree.
+
+    ``len()`` counts the degrees, and iterating gives a (d, IdfWitness or
+    None) pair per degree in increasing d, built as it is read: equal
+    witnesses are one shared record.  :meth:`runs` gives the keys
+    themselves, which is how a table of the scan is written without a
+    record per degree.
+    """
+
+    def __init__(self, segments):
+        self.segments = segments
+
+    def __len__(self):
+        return sum(len(key) for _, key, _ in self.segments)
+
+    def runs(self):
+        """(d, keys) runs covering the scan in increasing d: keys[i] is the
+        witness key of d + i, p << 5 | e for (p, 0, e), the tuple (p, r, e)
+        for a witness with r >= 2 and 0 for none (see witness_fields)."""
+        for lo, key, rest in self.segments:
+            view = memoryview(key)
+            at = 0
+            for i, w in rest:
+                if w is not None:
+                    if at < i:
+                        yield lo + at, view[at:i]
+                    yield lo + i, (w,)
+                    at = i + 1
+            if at < len(key):
+                yield lo + at, view[at:]
+
+    def __iter__(self):
+        get = _Witnesses({0: None}).__getitem__
+        return chain.from_iterable(
+            zip(range(lo, lo + len(keys)), map(get, keys)) for lo, keys in self.runs()
+        )
+
+    @property
+    def exceptions(self) -> list[int]:
+        """The degrees with no witness, in increasing order."""
+        return [lo + i for lo, _, rest in self.segments for i, w in rest if w is None]
+
+
+def scan_witnesses(d_min: int, d_max: int, k: int) -> IdfScan:
+    """The smallest witness, or None, of every d in [d_min, d_max].
 
     Matches find_idf_prime degree by degree, off a sieve of the least
     prime factor above k run segment by segment.  Degrees with k out of
-    range (d < 2k + 1) are skipped.  Equal witnesses are one shared object.
-    The list takes about 100 bytes a degree; a d_max above
-    ``SCAN_DMAX_LIMIT`` is refused before anything is sieved.
+    range (d < 2k + 1) are skipped.  The scan holds 4 bytes a degree;
+    a d_max above ``SCAN_DMAX_LIMIT`` is refused before anything is
+    sieved.
     """
     if k < 1:
         raise DomainError("k must be >= 1")
     if d_max < d_min:
-        return []
+        return IdfScan([])
     if d_max > SCAN_DMAX_LIMIT:
         raise ResourceBudgetError(
             f"a scan up to d = {d_max} lists a witness for every degree; "
             f"the limit is {SCAN_DMAX_LIMIT}"
         )
     starts = range(max(d_min, 2 * k + 1), d_max + 1, SEGMENT)
-    parts = (_scan_segment(a, min(a + SEGMENT - 1, d_max), k) for a in starts)
-    witnesses = _Witnesses({0: None})
-    out = []
-    # the pairs make no reference cycles: without the cyclic collector,
-    # filling the list does not rescan it again and again as it grows
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        for a, key, rest in parts:
-            at = len(out)
-            out += zip(range(a, a + len(key)), map(witnesses.__getitem__, key))
-            for i, w in rest:
-                out[at + i] = (a + i, witnesses[w])
-    finally:
-        if collecting:
-            gc.enable()
-    return out
+    return IdfScan([_scan_segment(a, min(a + SEGMENT - 1, d_max), k) for a in starts])
 
 
 def scan_exceptions(d_min: int, d_max: int, k: int) -> list[int]:
     """All d in [d_min, d_max] with no IDF prime for (d, k)."""
-    return [d for d, w in scan_witnesses(d_min, d_max, k) if w is None]
+    return scan_witnesses(d_min, d_max, k).exceptions
 
 
 MORDELL_B_SET = (1, 2, 3, 6)

@@ -19,9 +19,9 @@ import bicrit.pcf
 import bicrit.polyring
 from bicrit.arith import DETERMINISTIC_PRIME_BOUND
 from bicrit.cli import COMMANDS, GROUPS, main
-from bicrit.idf import SCAN_DMAX_LIMIT
+from bicrit.idf import SCAN_DMAX_LIMIT, find_idf_prime
 from bicrit.valdyn import CaseTag
-from util import SCAN_HEADER, csv_table, dual_orbit_solutions, loop_mordell, scan_rows
+from util import SCAN_HEADER, csv_table, dual_orbit_solutions, loop_mordell
 
 # two ~60-bit primes: Brent's rho would need about 2^30 steps to split P * Q
 P, Q = 576460752303435851, 1152921504606945751
@@ -459,6 +459,17 @@ def check_table(argv, key, header, rows):
     return report
 
 
+def find_rows(d_min, d_max, k):
+    """The rows of ``idf scan`` rendered one degree at a time from
+    find_idf_prime, as tuples of strings in SCAN_HEADER order."""
+    rows = []
+    for d in range(max(d_min, 2 * k + 1), d_max + 1):
+        w = find_idf_prime(d, k)
+        cells = ("false", "", "", "") if w is None else ("true", w.p, w.r, w.e)
+        rows.append(tuple(map(str, (d, k, *cells))))
+    return rows
+
+
 class TestTableOracle:
     @settings(max_examples=25, deadline=None)
     @given(
@@ -466,15 +477,21 @@ class TestTableOracle:
         d_min=st.integers(0, 3000),
         length=st.integers(-2, 1500),
         jobs=st.sampled_from((1, 2)),
-        segment=st.sampled_from((64, 1000, bicrit.idf.SEGMENT)),
+        segment=st.sampled_from((1, 2, 7, 64, bicrit.idf.SEGMENT)),
     )
     @example(k=3, d_min=2, length=4, jobs=1, segment=bicrit.idf.SEGMENT)  # no valid degree
-    @example(k=3, d_min=20, length=10, jobs=2, segment=bicrit.idf.SEGMENT)  # d = 27
+    @example(k=5, d_min=40, length=-1, jobs=1, segment=7)  # no degree at all
+    @example(k=3, d_min=27, length=0, jobs=1, segment=1)  # the exception alone
+    # d_min below 2k + 1; d = 27 among witnesses with r = 2 (9, 12, 16, 24, 32,
+    # 36) and r = 3 (8, 18)
+    @example(k=3, d_min=2, length=38, jobs=2, segment=2)
+    @example(k=3, d_min=20, length=10, jobs=2, segment=bicrit.idf.SEGMENT)
+    @example(k=12, d_min=0, length=400, jobs=1, segment=64)
     # two segments of the real length
     @example(k=2, d_min=0, length=bicrit.idf.SEGMENT + 500, jobs=2, segment=bicrit.idf.SEGMENT)
     def test_scan(self, k, d_min, length, jobs, segment):
         d_max = d_min + length
-        rows = scan_rows(d_min, d_max, k)
+        rows = find_rows(d_min, d_max, k)
         argv = ["idf", "scan", "--k", str(k), "--dmin", str(d_min), "--dmax", str(d_max),
                 "--jobs", str(jobs)]
         with patch.object(bicrit.idf, "SEGMENT", segment):

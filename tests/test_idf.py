@@ -1,3 +1,5 @@
+import contextlib
+import io
 import tracemalloc
 from math import isqrt
 from unittest.mock import patch
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 import bicrit.idf
 from bicrit.arith import factor, is_prime, val_p
+from bicrit.cli import main
 from bicrit.errors import DomainError, ResourceBudgetError
 from bicrit.idf import (
     SCAN_DMAX_LIMIT,
@@ -21,6 +24,16 @@ from bicrit.idf import (
     scan_witnesses,
 )
 from util import loop_mordell, spf_sieve, spf_witness
+
+class Sink:
+    """A stdout that keeps only the number of lines written to it."""
+
+    rows = -1  # the CSV header is not a row
+
+    def write(self, text):
+        self.rows += text.count("\n")
+        return len(text)
+
 
 MORDELL_TABLE = [
     (2, 3, 1, 1, 11),
@@ -224,6 +237,25 @@ class TestMordell:
             tracemalloc.stop()
         assert peak < 1.5 * x_max
         assert [(m.x, m.y, m.b, m.c, m.d) for m in cands] == MORDELL_TABLE
+
+    def test_scan_peak_memory_per_degree(self):
+        # the scan keeps 4 bytes a degree, and its rows are written from one
+        # text per distinct witness: a list of (d, witness) pairs took 114
+        # bytes a degree
+        d_max = 2 * 10**5
+        sink = Sink()
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(io.StringIO()):
+            main(["idf", "scan", "--k", "3", "--dmax", "20"])  # the handlers bound
+            sink.rows = -1
+            tracemalloc.start()
+            try:
+                code = main(["idf", "scan", "--k", "3", "--dmax", str(d_max), "--format", "csv"])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        degrees = d_max - 8 + 1  # from the default d_min, 2k + 2
+        assert code == 0 and sink.rows == degrees
+        assert peak < 32 * degrees
 
     def test_invariants(self):
         for m in mordell_candidates(200):

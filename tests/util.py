@@ -317,18 +317,6 @@ def loop_mordell(x_max):
 SCAN_HEADER = ("d", "k", "has_idf", "p", "r", "e")
 
 
-def scan_rows(d_min, d_max, k):
-    """The rows of ``idf scan`` off a smallest-prime-factor table, as
-    tuples of strings in SCAN_HEADER order."""
-    spf = spf_sieve(max(d_max, 1))
-    rows = []
-    for d in range(max(d_min, 2 * k + 1), d_max + 1):
-        w = spf_witness(d, k, spf)
-        cells = ("false", "", "", "") if w is None else ("true", *w)
-        rows.append(tuple(map(str, (d, k, *cells))))
-    return rows
-
-
 def csv_table(header, rows):
     """A table as csv.writer writes it, header first; "" for no rows."""
     if not rows:
