@@ -1,9 +1,11 @@
 """Byte-for-byte guard on the CLI reports.
 
-Every README command, plus one integrality FAIL, three more degree scans
-and the transversality cases of the benchmark, is pinned by its exit code
-and the sha256 of its stdout.  Only the ``elapsed_us`` timing is
-masked before hashing; every other byte of the report must stay the same.
+Every README command, plus one integrality FAIL, three more degree scans,
+three valdyn orbits with infinite or non-integer valuations, and the
+transversality and integrality cases of the benchmark, is pinned by its
+exit code and the sha256 of its stdout.  Only the ``elapsed_us`` timing
+is masked before hashing; every other byte of the report must stay the
+same.
 """
 
 import hashlib
@@ -37,6 +39,15 @@ GOLDEN = [
      "d480efef98db5d9f23cd5f391e082b4a6b545b87a25acdcc5a5b1f52de74d16b"),
     ("valdyn orbit --d 5 --k 1 --r 0 --e 1 --valpha -1 --vbeta -1 --start 0 --steps 8", 0,
      "3a0a1409fecb763d3fc9f730803cdc42fd61d88e6adc265504c5fa7b41dc1a91"),
+    # valuations that are infinite, or no integers: every step inf, a
+    # CASE4III orbit with inexact steps, and a CASE4I certificate whose
+    # step_decrement is -3/2
+    ("valdyn orbit --d 5 --k 1 --r 0 --e 1 --valpha 2 --vbeta inf --start 0 --steps 4", 0,
+     "ccd46471a6d1e43e60f1d4b9dc7c10937512b5417db2cd33dbf027e2072276a7"),
+    ("valdyn orbit --d 5 --k 1 --r 0 --e 1 --valpha 4 --vbeta -1 --start 1 --steps 4", 0,
+     "628de6d295e1176263a96c3e9fb25f34117bd80e546b93daae99ed0fe21909c2"),
+    ("valdyn orbit --d 7 --k 2 --r 0 --e 1 --valpha=1/2 --vbeta=-1/3 --start 1 --steps 5", 0,
+     "eb025f63083a8ccc3ef941d6138de70fb90e1f44962eaf8ad7b3d2895d0450cc"),
     ("pcf locus --d 3 --k 1 --n 2 --m 1", 0,
      "db1cd429217898e5a6692ab98d4fcb42d55a79a2c79c3180bd882797353010b3"),
     ("pcf integrality --d 3 --k 1 --n 2 --m 1", 0,
