@@ -2,9 +2,8 @@
 
 Integers are plain Python ints (arbitrary precision, exact).  Rationals are
 ``fractions.Fraction``, which is always stored reduced with a positive
-denominator.  The one custom scalar here is :class:`ExtVal`, the rationals
-extended by a maximal element ``INFINITY`` so that the valuation of zero has
-a representable value.
+denominator.  A p-adic valuation is one of these, or ``INFINITY``, the one
+value above every rational, so that the valuation of zero is representable.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from .errors import DomainError, ResourceBudgetError
 
 __all__ = [
     "DETERMINISTIC_PRIME_BOUND",
-    "ExtVal",
     "INFINITY",
     "factor",
     "is_prime",
@@ -162,100 +160,72 @@ def factor(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(counts.items()))
 
 
-class ExtVal:
-    """A rational valuation value, or +infinity (the valuation of 0).
+class _Infinity:
+    """INFINITY, the valuation of 0: above every rational and equal to none.
 
-    Totally ordered with INFINITY maximal.  Addition absorbs INFINITY;
-    positive integer scaling preserves it.
+    Adding a rational to it, or multiplying it by a positive int, gives it
+    back; subtracting it, or a multiple by zero or a negative int, is a
+    DomainError.  Ordering it against anything but a valuation is a TypeError.
     """
 
-    __slots__ = ("_v",)
-
-    def __init__(self, value: "int | Fraction | ExtVal" = 0):
-        if isinstance(value, ExtVal):
-            self._v = value._v
-        elif isinstance(value, (int, Fraction)):
-            self._v = Fraction(value)
-        else:
-            raise DomainError(f"cannot build ExtVal from {value!r}")
-
-    @property
-    def is_infinite(self) -> bool:
-        return self._v is None
-
-    @property
-    def finite(self) -> Fraction:
-        if self._v is None:
-            raise DomainError("INFINITY has no finite value")
-        return self._v
+    __slots__ = ()
 
     def __add__(self, other):
-        other = ExtVal(other)
-        if self._v is None or other._v is None:
-            return INFINITY
-        return ExtVal(self._v + other._v)
+        return self if _valuation(other) else NotImplemented
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = ExtVal(other)
-        if other._v is None:
+        if other is self:
             raise DomainError("cannot subtract INFINITY")
-        if self._v is None:
-            return INFINITY
-        return ExtVal(self._v - other._v)
+        return self.__add__(other)
 
-    def __rmul__(self, m: int):
+    def __rsub__(self, other):
+        if not _valuation(other):
+            return NotImplemented
+        raise DomainError("cannot subtract INFINITY")
+
+    def __mul__(self, m):
         if not isinstance(m, int):
             return NotImplemented
-        if self._v is None:
-            if m <= 0:
-                raise DomainError("only positive multiples of INFINITY are defined")
-            return INFINITY
-        return ExtVal(m * self._v)
+        if m <= 0:
+            raise DomainError("only positive multiples of INFINITY are defined")
+        return self
 
-    def _cmp_key(self):
-        # (0, value) for finite, (1, 0) for infinity: sorts INFINITY last
-        return (1, Fraction(0)) if self._v is None else (0, self._v)
+    __rmul__ = __mul__
 
-    def __eq__(self, other):
-        try:
-            other = ExtVal(other)
-        except DomainError:
-            return NotImplemented
-        return self._v == other._v
-
+    # x < INFINITY for every rational x
     def __lt__(self, other):
-        return self._cmp_key() < ExtVal(other)._cmp_key()
+        return False if _valuation(other) else NotImplemented
 
     def __le__(self, other):
-        return self._cmp_key() <= ExtVal(other)._cmp_key()
+        return other is self if _valuation(other) else NotImplemented
 
     def __gt__(self, other):
-        return self._cmp_key() > ExtVal(other)._cmp_key()
+        return other is not self if _valuation(other) else NotImplemented
 
     def __ge__(self, other):
-        return self._cmp_key() >= ExtVal(other)._cmp_key()
+        return True if _valuation(other) else NotImplemented
 
     def __hash__(self):
-        return hash(self._v)
+        return hash(None)
+
+    def __reduce__(self):
+        return "INFINITY"  # a copy or an unpickled value is INFINITY itself
 
     def __repr__(self):
-        return "ExtVal(INFINITY)" if self._v is None else f"ExtVal({self._v})"
+        return "INFINITY"
 
     def __str__(self):
-        return "inf" if self._v is None else str(self._v)
-
-    @staticmethod
-    def parse(text: str) -> "ExtVal":
-        text = text.strip()
-        if text.lower() in ("inf", "infinity", "+inf"):
-            return INFINITY
-        return ExtVal(Fraction(text))
+        return "inf"
 
 
-INFINITY = ExtVal.__new__(ExtVal)
-INFINITY._v = None
+INFINITY = _Infinity()
+
+
+def _valuation(x) -> bool:
+    """Whether x is a valuation: an int, a Fraction or INFINITY."""
+    return x is INFINITY or isinstance(x, (int, Fraction))
 
 
 def _int_val(n: int, p: int) -> int:
@@ -267,11 +237,11 @@ def _int_val(n: int, p: int) -> int:
     return e
 
 
-def val_p(x: "int | Fraction", p: int) -> ExtVal:
+def val_p(x: "int | Fraction", p: int) -> "Fraction | _Infinity":
     """Normalized p-adic valuation of a rational; val_p(0) = INFINITY."""
     if not is_prime(p):
         raise DomainError(f"{p} is not prime")
     if x == 0:
         return INFINITY
     x = Fraction(x)
-    return ExtVal(_int_val(x.numerator, p) - _int_val(x.denominator, p))
+    return Fraction(_int_val(x.numerator, p) - _int_val(x.denominator, p))

@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import __version__
-from .arith import DETERMINISTIC_PRIME_BOUND, ExtVal
+from .arith import DETERMINISTIC_PRIME_BOUND, INFINITY
 from .errors import DomainError, ResourceBudgetError
 
 __all__ = ["main", "entry"]
@@ -85,7 +85,7 @@ def _exact(obj):
     """The JSON form of a report value: integers and rationals as strings."""
     if obj is None or isinstance(obj, (bool, str)):
         return obj
-    if isinstance(obj, (int, Fraction, ExtVal)):
+    if isinstance(obj, (int, Fraction)) or obj is INFINITY:
         return str(obj)
     if hasattr(obj, "_fields"):  # a record, before the tuple it may be
         return {name: _exact(getattr(obj, name)) for name in obj._fields}
@@ -274,9 +274,16 @@ def _h_idf_mordell(ns):
     return {"xmax": ns.xmax}, "OK", table
 
 
+def _read_valuation(flag: str, text: str):
+    """The value of --valpha or --vbeta: a rational, or 'inf' for INFINITY."""
+    if text.strip().lower() in ("inf", "infinity", "+inf"):
+        return INFINITY
+    return _parse(flag, text, Fraction)
+
+
 def _val_params(ns) -> ValParams:
-    v_alpha = _parse("valpha", ns.valpha, ExtVal.parse)
-    v_beta = _parse("vbeta", ns.vbeta, ExtVal.parse)
+    v_alpha = _read_valuation("valpha", ns.valpha)
+    v_beta = _read_valuation("vbeta", ns.vbeta)
     return ValParams(ns.d, ns.k, ns.r, ns.e, v_alpha, v_beta)
 
 
@@ -478,10 +485,29 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+def _glue_negative_valuations(argv: list[str]) -> list[str]:
+    """argv with each "--valpha -p/q" as one token "--valpha=-p/q", and so
+    for --vbeta and their abbreviations: argparse reads a token that starts
+    with '-' and is no negative decimal as a flag, which leaves the option
+    without a value."""
+    for i in range(len(argv) - 1, 0, -1):
+        flag, value = argv[i - 1], argv[i]
+        # "--v" is no abbreviation of either: it is ambiguous, or --version
+        if (
+            len(flag) > 3
+            and ("--valpha".startswith(flag) or "--vbeta".startswith(flag))
+            and value[:1] == "-"
+            and value[1:2].isdigit()
+        ):
+            argv[i - 1 : i + 1] = [f"{flag}={value}"]
+    return argv
+
+
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        ns = parser.parse_args(argv)
+        ns = parser.parse_args(_glue_negative_valuations(argv))
     except SystemExit as ex:
         return EXIT_USAGE if ex.code not in (0, None) else EXIT_OK
     if ns.format == "csv" and (ns.group, ns.cmd) not in _TABLES:

@@ -77,8 +77,14 @@ ELIMINATION_WORK_LIMIT = 3 * 10**8
 # transversality_check refuses an e_max whose _field_work, summed over the
 # fields, exceeds this: up to about half a minute
 FIELD_WORK_LIMIT = 10**9
-# the time of one step of a GF(p^e) product against one step on int lists:
-# about 250-500 ns against 10 ns, measured on the orbit scan and on Bareiss
+# the price of one step of a GF(p^e) product in steps on int lists, fitted
+# with the other constants of _field_work to both routes of solve_mod forced
+# in turn (BENCH_7.json route_calibration), when GF(p^e)[x] still ran on
+# lists of FieldElem.  On the packed GF(q)[x] kernel the median of those
+# shapes is about 8, and the per-shape ratio spreads over three orders of
+# magnitude, so no one constant fits them.  It stays 30, as
+# test_prices_are_pinned pins it and the prices decide which --emax values
+# are refused; ROADMAP item 4 deletes it with the orbit-scan route.
 _FIELD_STEP = 30
 
 _A, _C = 0, 1

@@ -49,7 +49,7 @@ from itertools import compress, product
 from math import gcd, lcm
 from typing import NamedTuple
 
-from .arith import ExtVal, INFINITY, factor, is_prime, val_p
+from .arith import INFINITY, _int_val, factor, is_prime
 from .errors import DomainError
 
 __all__ = [
@@ -845,10 +845,10 @@ class NewtonPolygon(NamedTuple):
     points: tuple[tuple[int, Fraction], ...]
     segments: tuple[Segment, ...]
 
-    def root_valuations(self) -> list[tuple[ExtVal, int]]:
+    def root_valuations(self) -> list[tuple[Fraction, int]]:
         """(valuation, multiplicity) pairs, finite ascending, INFINITY last."""
-        out = [(ExtVal(-seg.slope), seg.length) for seg in self.segments]
-        out.sort(key=lambda t: t[0])
+        # the hull's slopes strictly increase, so their negatives ascend reversed
+        out = [(-seg.slope, seg.length) for seg in reversed(self.segments)]
         if self.vanishing_order:
             out.append((INFINITY, self.vanishing_order))
         return out
@@ -875,11 +875,16 @@ def _lower_hull(points):
 
 
 def newton_polygon(f: UniPoly, p: int) -> NewtonPolygon:
-    """Newton polygon of f at p; f must be nonzero."""
+    """Newton polygon of f at p; f must be nonzero and p prime."""
     if f.is_zero:
         raise DomainError("Newton polygon of the zero polynomial")
+    if not is_prime(p):
+        raise DomainError(f"{p} is not prime")
+    # v_p of each nonzero coefficient, as val_p reads it, with p tested once
     pts = [
-        (i, val_p(c, p).finite) for i, c in enumerate(f.coeffs) if c
+        (i, Fraction(_int_val(c.numerator, p) - _int_val(c.denominator, p)))
+        for i, c in enumerate(f.coeffs)
+        if c
     ]
     ord0 = pts[0][0]
     hull = _lower_hull(pts)

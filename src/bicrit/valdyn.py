@@ -28,7 +28,7 @@ from fractions import Fraction
 from math import comb
 from typing import NamedTuple
 
-from .arith import ExtVal, INFINITY, factor, val_p
+from .arith import INFINITY, _valuation, factor, val_p
 from .belyi import belyi_coeffs
 from .errors import DomainError, ResourceBudgetError
 from .idf import IdfWitness, is_idf_prime
@@ -62,8 +62,14 @@ class CaseTag(Enum):
 class TropVal(NamedTuple):
     """A valuation bound; exact means the governing minimum was unique."""
 
-    value: ExtVal
+    value: Fraction  # or an int, or INFINITY
     exact: bool
+
+
+def _require_valuations(*values) -> None:
+    for v in values:
+        if not _valuation(v):
+            raise DomainError(f"{v!r} is not a valuation: an int, a Fraction or INFINITY")
 
 
 class _ValFields(NamedTuple):
@@ -71,8 +77,8 @@ class _ValFields(NamedTuple):
     k: int
     r: int
     e: int
-    v_alpha: ExtVal
-    v_beta: ExtVal
+    v_alpha: Fraction  # or an int; v_beta may be INFINITY too
+    v_beta: Fraction
 
 
 class ValParams(_ValFields):
@@ -86,10 +92,9 @@ class ValParams(_ValFields):
     # the inherited _make, and so _replace, would skip the checks in __new__
     _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def __new__(cls, d: int, k: int, r: int, e: int, v_alpha: ExtVal, v_beta: ExtVal):
-        if not isinstance(v_alpha, ExtVal) or not isinstance(v_beta, ExtVal):
-            raise DomainError("parameter valuations must be ExtVal")
-        if v_alpha.is_infinite:
+    def __new__(cls, d: int, k: int, r: int, e: int, v_alpha: Fraction, v_beta: Fraction):
+        _require_valuations(v_alpha, v_beta)
+        if v_alpha is INFINITY:
             raise DomainError("v_alpha = inf, i.e. alpha = 0, does not define a degree-d map")
         # a bound on r, so that d - r >= 2 is factored and no larger
         if not 0 <= r <= k < d - 1:
@@ -99,22 +104,9 @@ class ValParams(_ValFields):
         return super().__new__(cls, d, k, r, e, v_alpha, v_beta)
 
 
-def _min_with_uniqueness(terms: list[ExtVal]) -> TropVal:
-    m = terms[0]
-    for t in terms[1:]:
-        if t < m:
-            m = t
-    if m.is_infinite:
-        # every summand vanishes identically, so the value is exact
-        return TropVal(INFINITY, True)
-    hits = sum(1 for t in terms if t == m)
-    return TropVal(m, hits == 1)
-
-
-def image_val(v_x: ExtVal, params: ValParams) -> TropVal:
+def image_val(v_x: Fraction, params: ValParams) -> TropVal:
     """Valuation bound for v_p(f(x)) from v_p(x), with an exactness flag."""
-    if not isinstance(v_x, ExtVal):
-        v_x = ExtVal(v_x)
+    _require_valuations(v_x)
     d, k, r, e = params.d, params.k, params.r, params.e
     va, vb = params.v_alpha, params.v_beta
     if v_x == 0:
@@ -129,7 +121,9 @@ def image_val(v_x: ExtVal, params: ValParams) -> TropVal:
         terms = [t1, t2, vb]
     else:
         terms = [va + e + (d - k) * v_x, va + (d - r) * v_x, vb]
-    return _min_with_uniqueness(terms)
+    m = min(terms)
+    # a minimum of INFINITY is exact: every summand vanishes identically
+    return TropVal(m, m is INFINITY or terms.count(m) == 1)
 
 
 def orbit_val(start: int, params: ValParams, n_steps: int) -> list[TropVal]:
@@ -143,7 +137,7 @@ def orbit_val(start: int, params: ValParams, n_steps: int) -> list[TropVal]:
         raise DomainError("orbit starts at the critical point 0 or 1")
     if n_steps < 1:
         raise DomainError("need at least one step")
-    v = INFINITY if start == 0 else ExtVal(0)
+    v = INFINITY if start == 0 else 0
     out: list[TropVal] = []
     exact_so_far = True
     for _ in range(n_steps):
@@ -206,7 +200,7 @@ def divergence_certificate(params: ValParams) -> DivergenceCertificate:
         steps[i].value > steps[i + 1].value for i in range(len(steps) - 1)
     )
     if all(s.exact for s in steps) and decreasing:
-        dec = steps[1].value.finite - steps[0].value.finite
+        dec = steps[1].value - steps[0].value
         return DivergenceCertificate(case, "diverging", start, steps, dec)
     return DivergenceCertificate(case, "inconclusive", start, steps)
 

@@ -10,7 +10,7 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
-from bicrit.arith import ExtVal, val_p
+from bicrit.arith import val_p
 from bicrit.cli import main as cli_main
 from bicrit.belyi import belyi_coeffs
 from bicrit.idf import find_idf_prime, mordell_candidates, scan_exceptions
@@ -120,7 +120,7 @@ def test_04_coefficient_valuation_pattern():
                 continue
             b = belyi_coeffs(d, k)
             for i, c in enumerate(b.coeffs):
-                assert val_p(c, w.p).finite == (0 if i == w.r else w.e)
+                assert val_p(c, w.p) == (0 if i == w.r else w.e)
             sampled += 1
 
 
@@ -134,7 +134,7 @@ def test_05_valuation_dynamics_soundness():
             for _attempt in range(100_000):
                 va = rng.randrange(lo, hi)
                 vb = rng.randrange(lo, hi)
-                params = ValParams(d, k, r, e, ExtVal(va), ExtVal(vb))
+                params = ValParams(d, k, r, e, va, vb)
                 if classify_case(params) is case:
                     break
             else:

@@ -1,3 +1,6 @@
+import copy
+import operator
+import pickle
 import time
 from fractions import Fraction
 from math import prod
@@ -10,13 +13,12 @@ import bicrit.arith
 from bicrit.arith import (
     DETERMINISTIC_PRIME_BOUND,
     INFINITY,
-    ExtVal,
     factor,
     is_prime,
     val_p,
 )
 from bicrit.errors import DomainError, ResourceBudgetError
-from util import trial_factor
+from util import EXT_INFINITY, ExtVal, trial_factor
 
 SMALL_PRIMES = [p for p in range(2, 101) if is_prime(p)]
 
@@ -162,9 +164,9 @@ class TestIsPrime:
 
 class TestValP:
     def test_examples(self):
-        assert val_p(25, 5) == ExtVal(2)
-        assert val_p(0, 7) == INFINITY
-        assert val_p(Fraction(6, 5), 5) == ExtVal(-1)
+        assert val_p(25, 5) == 2 and type(val_p(25, 5)) is Fraction
+        assert val_p(0, 7) is INFINITY
+        assert val_p(Fraction(6, 5), 5) == Fraction(-1)
 
     def test_not_prime(self):
         with pytest.raises(DomainError):
@@ -186,27 +188,91 @@ class TestValP:
             assert vsum == m
 
 
-class TestExtVal:
+# a valuation: an int, a Fraction or INFINITY
+VALUATIONS = st.one_of(
+    st.integers(-50, 50),
+    st.fractions(min_value=-50, max_value=50, max_denominator=12),
+    st.just(INFINITY),
+)
+
+
+def _oracle(v):
+    """The ExtVal twin of a valuation."""
+    return EXT_INFINITY if v is INFINITY else ExtVal(v)
+
+
+def _outcome(op, *args):
+    """op(*args), or DomainError when it raises one."""
+    try:
+        return op(*args)
+    except DomainError:
+        return DomainError
+
+
+def _agree(got, want):
+    """A plain valuation (or a bool, or DomainError) got is the oracle's want."""
+    if isinstance(want, ExtVal):
+        assert (got is INFINITY) == want.is_infinite
+        assert got is INFINITY or type(got) in (int, Fraction) and got == want.finite
+        assert str(got) == str(want) and hash(got) == hash(want)
+    else:
+        assert got is want
+
+
+class TestInfinity:
     def test_order(self):
-        assert INFINITY > ExtVal(10**9)
-        assert ExtVal(Fraction(1, 2)) < ExtVal(1)
-        assert sorted([INFINITY, ExtVal(3), ExtVal(-1)])[-1] is INFINITY
+        assert INFINITY > 10**9 and 10**9 < INFINITY
+        assert Fraction(1, 2) < 1
+        assert sorted([INFINITY, 3, Fraction(-1)])[-1] is INFINITY
+        assert INFINITY >= INFINITY and not INFINITY > INFINITY
+        assert INFINITY != 10**9 and INFINITY != "inf"
 
     def test_arith(self):
-        assert INFINITY + 5 == INFINITY
-        assert ExtVal(2) + ExtVal(Fraction(1, 2)) == ExtVal(Fraction(5, 2))
-        assert 3 * ExtVal(-2) == ExtVal(-6)
-        assert 4 * INFINITY == INFINITY
-        assert ExtVal(5) - ExtVal(2) == ExtVal(3)
+        assert INFINITY + 5 is INFINITY and Fraction(1, 2) + INFINITY is INFINITY
+        assert INFINITY - Fraction(7, 3) is INFINITY
+        assert 4 * INFINITY is INFINITY and INFINITY * 4 is INFINITY
 
     def test_infinity_guards(self):
-        with pytest.raises(DomainError):
-            INFINITY.finite
-        with pytest.raises(DomainError):
-            0 * INFINITY
-        with pytest.raises(DomainError):
-            ExtVal(1) - INFINITY
+        for bad in (
+            lambda: 0 * INFINITY,
+            lambda: INFINITY * -2,
+            lambda: 1 - INFINITY,
+            lambda: Fraction(1, 3) - INFINITY,
+            lambda: INFINITY - INFINITY,
+        ):
+            with pytest.raises(DomainError):
+                bad()
 
-    def test_parse(self):
-        assert ExtVal.parse("inf") == INFINITY
-        assert ExtVal.parse("-3/2") == ExtVal(Fraction(-3, 2))
+    def test_non_numbers_are_type_errors(self):
+        for other in ("1", 1.5, None, [1]):
+            for op in (operator.lt, operator.le, operator.gt, operator.ge, operator.add):
+                with pytest.raises(TypeError):
+                    op(INFINITY, other)
+                with pytest.raises(TypeError):
+                    op(other, INFINITY)
+        with pytest.raises(TypeError):
+            Fraction(1, 2) * INFINITY
+
+    def test_one_object(self):
+        assert str(INFINITY) == "inf" and repr(INFINITY) == "INFINITY"
+        assert pickle.loads(pickle.dumps(INFINITY)) is INFINITY
+        assert copy.deepcopy(INFINITY) is INFINITY
+
+    @given(x=VALUATIONS, y=VALUATIONS, m=st.integers(-3, 6))
+    @settings(max_examples=400)
+    def test_binary_operations_match_the_extval_oracle(self, x, y, m):
+        ox, oy = _oracle(x), _oracle(y)
+        for op in (operator.add, operator.sub, operator.lt, operator.le, operator.eq):
+            _agree(_outcome(op, x, y), _outcome(op, ox, oy))
+        _agree(_outcome(operator.mul, m, x), _outcome(operator.mul, m, ox))
+        if m > 0:
+            _agree(x * m, m * ox)
+
+    @given(xs=st.lists(VALUATIONS, min_size=1, max_size=8))
+    @settings(max_examples=200)
+    def test_min_sorted_and_str_match_the_extval_oracle(self, xs):
+        oxs = [_oracle(x) for x in xs]
+        _agree(min(xs), min(oxs))
+        for got, want in zip(sorted(xs), sorted(oxs)):
+            _agree(got, want)
+        assert [str(x) for x in xs] == [str(o) for o in oxs]

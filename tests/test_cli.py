@@ -17,11 +17,11 @@ import bicrit.cli
 import bicrit.idf
 import bicrit.pcf
 import bicrit.polyring
-from bicrit.arith import DETERMINISTIC_PRIME_BOUND
+from bicrit.arith import DETERMINISTIC_PRIME_BOUND, INFINITY
 from bicrit.cli import COMMANDS, GROUPS, main
 from bicrit.idf import SCAN_DMAX_LIMIT, find_idf_prime
 from bicrit.valdyn import CaseTag
-from util import SCAN_HEADER, csv_table, dual_orbit_solutions, loop_mordell
+from util import SCAN_HEADER, ExtVal, csv_table, dual_orbit_solutions, loop_mordell
 
 # two ~60-bit primes: Brent's rho would need about 2^30 steps to split P * Q
 P, Q = 576460752303435851, 1152921504606945751
@@ -150,6 +150,27 @@ class TestExitCodes:
              "--valpha", "abc", "--vbeta", "-1"]
         ) == 2
         assert "--valpha" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("valpha, vbeta", [("1/2", "-1/3"), ("-5/2", "-7/4"), ("-3/2", "inf")])
+    def test_negative_rational_valuation_as_its_own_token(self, capsys, valpha, vbeta):
+        # argparse reads "-1/3", unlike "-1", as a flag unless it is glued on
+        data = "valdyn orbit --d 7 --k 2 --r 0 --e 1 --start 1 --steps 3".split()
+        glued = run_json(capsys, *data, f"--valpha={valpha}", f"--vbeta={vbeta}")
+        apart = run_json(capsys, *data, "--valpha", valpha, "--vbeta", vbeta)
+        abbreviated = run_json(capsys, *data, "--va", valpha, "--vb", vbeta)
+        for _code, report in (glued, apart, abbreviated):
+            del report["timings"]
+        assert glued == apart == abbreviated and glued[0] == 0
+
+    def test_valuation_flag_without_its_value_is_usage_error(self, capsys):
+        argv = "valdyn classify --d 7 --k 2 --r 0 --e 1 --valpha --vbeta -1/3".split()
+        assert main(argv) == 2
+        assert "--valpha" in capsys.readouterr().err
+
+    def test_valuation_values_read_as_the_extval_oracle(self):
+        for text in ("inf", " Infinity ", "+inf", "-3/2", "4", " 7/14 ", "-0", "2.5"):
+            got, want = bicrit.cli._read_valuation("vbeta", text), ExtVal.parse(text)
+            assert (got is INFINITY) == want.is_infinite and str(got) == str(want)
 
     def test_alpha_zero_is_usage_error(self, capsys):
         # alpha = 0 is no degree-d map, so an orbit or a case for it is no answer

@@ -95,7 +95,7 @@ class TestFindIdfPrime:
                     continue
                 assert w.holds_for(d, k)
                 # recheck with independent pieces
-                assert w.e == val_p(d - w.r, w.p).finite
+                assert w.e == val_p(d - w.r, w.p)
                 assert w.p > k and 0 <= w.r <= k and w.r != 1
                 if w.r >= 2:
                     assert w.e % w.r != 0

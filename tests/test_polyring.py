@@ -6,7 +6,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bicrit.arith import ExtVal, INFINITY, val_p
+import bicrit.polyring
+from bicrit.arith import INFINITY, is_prime, val_p
 from bicrit.belyi import belyi_coeffs
 from bicrit.errors import DomainError
 from bicrit.pcf import critical_orbit_poly
@@ -444,7 +445,7 @@ class TestNewtonPolygon:
     def test_eisenstein(self):
         np_ = newton_polygon(qpoly(-5, 0, 1), 5)
         assert [(s.slope, s.length) for s in np_.segments] == [(Fraction(-1, 2), 2)]
-        assert np_.root_valuations() == [(ExtVal(Fraction(1, 2)), 2)]
+        assert np_.root_valuations() == [(Fraction(1, 2), 2)]
 
     def test_two_slopes(self):
         np_ = newton_polygon(qpoly(125, 5, 1), 5)
@@ -452,7 +453,7 @@ class TestNewtonPolygon:
             (Fraction(-2), 1),
             (Fraction(-1), 1),
         ]
-        assert np_.root_valuations() == [(ExtVal(1), 1), (ExtVal(2), 1)]
+        assert np_.root_valuations() == [(1, 1), (2, 1)]
 
     def test_unit_coefficients(self):
         np_ = newton_polygon(qpoly(-1, -1, -1, 2), 3)
@@ -466,6 +467,21 @@ class TestNewtonPolygon:
     def test_zero_rejected(self):
         with pytest.raises(DomainError):
             newton_polygon(qpoly(), 5)
+
+    def test_composite_p_rejected(self):
+        for p in (1, 4, 6, 25):
+            with pytest.raises(DomainError, match="not prime"):
+                newton_polygon(qpoly(125, 5, 1), p)
+        with pytest.raises(DomainError, match="zero polynomial"):
+            newton_polygon(qpoly(), 6)
+
+    def test_p_is_tested_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(bicrit.polyring, "is_prime", lambda n: calls.append(n) or is_prime(n))
+        f = qpoly(*[Fraction(i + 1, 3) for i in range(12)])
+        points = newton_polygon(f, 3).points
+        assert calls == [3]
+        assert points == tuple((i, val_p(c, 3)) for i, c in enumerate(f.coeffs))
 
     def test_constant_multiple_keeps_slopes(self):
         rng = random.Random(5)
@@ -495,11 +511,11 @@ class TestNewtonPolygon:
                 for r in roots:
                     f = f * qpoly(-r, 1)
                 expected = sorted(
-                    val_p(r, p).finite for r in roots
+                    val_p(r, p) for r in roots
                 )
                 got = []
                 for v, mult in newton_polygon(f, p).root_valuations():
-                    got.extend([v.finite] * mult)
+                    got.extend([v] * mult)
                 assert sorted(got) == expected
 
 

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 import bicrit
-from bicrit.arith import ExtVal, factor
+from bicrit.arith import factor
 from bicrit.belyi import belyi_coeffs, ncritical_form
 from bicrit.cli import _exact
 from bicrit.errors import DomainError
@@ -25,7 +25,7 @@ from bicrit.valdyn import ValParams, divergence_certificate, image_val, shift_re
 
 
 def _params():
-    return ValParams(5, 1, 0, 1, ExtVal(-1), ExtVal(-1))
+    return ValParams(5, 1, 0, 1, -1, -1)
 
 
 # one or more instances of every public record, each built afresh per call
@@ -44,7 +44,7 @@ RECORDS = {
     "NCritCounterexampleReport": ncrit_counterexamples,
     "NewtonPolygon": lambda: newton_polygon(UniPoly([4, 0, 1]), 2),
     "Segment": lambda: newton_polygon(UniPoly([4, 0, 1]), 2).segments[0],
-    "TropVal": lambda: image_val(ExtVal(-1), _params()),
+    "TropVal": lambda: image_val(-1, _params()),
     "ValParams": _params,
     "DivergenceCertificate": lambda: divergence_certificate(_params()),
     "ShiftDecomposition": lambda: shift_remainder(3, 1, 1),
@@ -141,16 +141,16 @@ def test_holds_for_compares_witness_records():
 @pytest.mark.parametrize(
     "d, k, r, e, v_alpha, v_beta",
     [
-        (2, 1, 0, 1, ExtVal(-1), ExtVal(-1)),  # d < 3
-        (5, 0, 0, 1, ExtVal(-1), ExtVal(-1)),  # k < 1
-        (5, 3, 0, 1, ExtVal(-1), ExtVal(-1)),  # k > (d - 1) // 2
-        (5, 1, 1, 1, ExtVal(-1), ExtVal(-1)),  # r = 1
-        (8, 2, 3, 1, ExtVal(-1), ExtVal(-1)),  # r > k
-        (5, 1, 0, 0, ExtVal(-1), ExtVal(-1)),  # e < 1
-        (27, 3, 2, 2, ExtVal(-1), ExtVal(-1)),  # r divides e
-        (5, 1, 0, 2, ExtVal(-1), ExtVal(-1)),  # no prime with v_p(5) = 2
-        (5, 1, 0, 1, -1, ExtVal(-1)),  # not an ExtVal
-        (5, 1, 0, 1, ExtVal(-1), Fraction(1)),  # not an ExtVal
+        (2, 1, 0, 1, Fraction(-1), Fraction(-1)),  # d < 3
+        (5, 0, 0, 1, Fraction(-1), Fraction(-1)),  # k < 1
+        (5, 3, 0, 1, Fraction(-1), Fraction(-1)),  # k > (d - 1) // 2
+        (5, 1, 1, 1, Fraction(-1), Fraction(-1)),  # r = 1
+        (8, 2, 3, 1, Fraction(-1), Fraction(-1)),  # r > k
+        (5, 1, 0, 0, Fraction(-1), Fraction(-1)),  # e < 1
+        (27, 3, 2, 2, Fraction(-1), Fraction(-1)),  # r divides e
+        (5, 1, 0, 2, Fraction(-1), Fraction(-1)),  # no prime with v_p(5) = 2
+        (5, 1, 0, 1, "-1", Fraction(-1)),  # a str is not a valuation
+        (5, 1, 0, 1, Fraction(-1), -1.0),  # a float is not a valuation
     ],
 )
 def test_valparams_refuses_invalid_input(d, k, r, e, v_alpha, v_beta):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from bicrit.arith import ExtVal, INFINITY
+from bicrit.arith import INFINITY
 from bicrit.errors import DomainError
 from bicrit.valdyn import (
     CaseTag,
@@ -27,7 +27,7 @@ POOL = [(3, 1, 3, 0, 1), (5, 1, 5, 0, 1), (5, 2, 5, 0, 1), (8, 2, 3, 2, 1)]
 
 
 def params(d, k, r, e, va, vb):
-    return ValParams(d, k, r, e, ExtVal(va), ExtVal(vb))
+    return ValParams(d, k, r, e, va, vb)
 
 
 class TestValParams:
@@ -41,42 +41,53 @@ class TestValParams:
 
     def test_rejects_alpha_zero(self):
         # v_alpha = inf is alpha = 0, no degree-d map; v_beta = inf (c = 0) is one
-        for vb in (ExtVal(-1), ExtVal(2), INFINITY):
+        for vb in (-1, 2, INFINITY):
             with pytest.raises(DomainError, match="alpha = 0"):
                 ValParams(5, 1, 0, 1, INFINITY, vb)
-        assert ValParams(5, 1, 0, 1, ExtVal(2), INFINITY).v_beta == INFINITY
+        assert ValParams(5, 1, 0, 1, 2, INFINITY).v_beta == INFINITY
+
+    def test_valuations_are_plain_rationals(self):
+        as_ints = params(5, 1, 0, 1, -1, -1)
+        as_fractions = params(5, 1, 0, 1, Fraction(-1), Fraction(-1))
+        assert as_ints == as_fractions
+        assert orbit_val(0, as_ints, 3) == orbit_val(0, as_fractions, 3)
+        for bad in (-1.0, "-1", None):
+            with pytest.raises(DomainError, match="not a valuation"):
+                ValParams(5, 1, 0, 1, -1, bad)
+            with pytest.raises(DomainError, match="not a valuation"):
+                image_val(bad, as_ints)
 
 
 class TestImageVal:
     def test_negative_input(self):
-        t = image_val(ExtVal(-1), params(5, 1, 0, 1, -1, -1))
-        assert t.value == ExtVal(-6) and t.exact
+        t = image_val(-1, params(5, 1, 0, 1, -1, -1))
+        assert t.value == -6 and t.exact
 
     def test_infinite_input_gives_beta(self):
         t = image_val(INFINITY, params(5, 1, 0, 1, -1, -1))
-        assert t.value == ExtVal(-1) and t.exact
+        assert t.value == -1 and t.exact
         t = image_val(INFINITY, params(5, 1, 0, 1, 2, 3))
-        assert t.value == ExtVal(3) and t.exact
+        assert t.value == 3 and t.exact
 
     def test_zero_input(self):
-        t = image_val(ExtVal(0), params(5, 1, 0, 1, -1, 0))
-        assert t.value == ExtVal(-1) and t.exact
+        t = image_val(0, params(5, 1, 0, 1, -1, 0))
+        assert t.value == -1 and t.exact
 
     def test_tie_is_inexact(self):
-        t = image_val(ExtVal(0), params(5, 1, 0, 1, 0, 0))
-        assert t.value == ExtVal(0) and not t.exact
+        t = image_val(0, params(5, 1, 0, 1, 0, 0))
+        assert t.value == 0 and not t.exact
 
 
 class TestOrbitVal:
     def test_diverging_orbit(self):
         seq = orbit_val(0, params(5, 1, 0, 1, -1, -1), 4)
-        assert [t.value for t in seq] == [ExtVal(-1), ExtVal(-6), ExtVal(-31), ExtVal(-156)]
+        assert [t.value for t in seq] == [-1, -6, -31, -156]
         assert all(t.exact for t in seq)
         assert all(seq[i].value > seq[i + 1].value for i in range(3))
 
     def test_orbit_of_one(self):
         seq = orbit_val(1, params(5, 1, 0, 1, -1, 0), 3)
-        assert [t.value for t in seq] == [ExtVal(-1), ExtVal(-6), ExtVal(-31)]
+        assert [t.value for t in seq] == [-1, -6, -31]
         assert all(t.exact for t in seq)
 
     def test_integral_stays_nonnegative(self):
@@ -107,13 +118,13 @@ class TestDivergenceCertificate:
     def test_case1(self):
         cert = divergence_certificate(params(5, 1, 0, 1, -1, -1))
         assert cert.kind == "diverging"
-        assert [t.value for t in cert.steps[:3]] == [ExtVal(-1), ExtVal(-6), ExtVal(-31)]
+        assert [t.value for t in cert.steps[:3]] == [-1, -6, -31]
         assert cert.step_decrement == Fraction(-5)
 
     def test_case4ii_constant(self):
         cert = divergence_certificate(params(5, 1, 0, 1, 10, -1))
         assert cert.kind == "constant"
-        assert all(t.value == ExtVal(-1) and t.exact for t in cert.steps)
+        assert all(t.value == -1 and t.exact for t in cert.steps)
 
     def test_case4iii_inconclusive(self):
         cert = divergence_certificate(params(3, 1, 0, 1, 2, -1))

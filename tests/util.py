@@ -5,7 +5,7 @@ import io
 from fractions import Fraction
 from math import factorial, isqrt
 
-from bicrit.arith import RHO_STEP_LIMIT, ExtVal, _brent, is_prime
+from bicrit.arith import INFINITY, RHO_STEP_LIMIT, _brent, is_prime
 from bicrit.belyi import belyi_coeffs
 from bicrit.errors import DomainError, ResourceBudgetError
 from bicrit.idf import MORDELL_B_SET, MORDELL_C_SET, MordellCandidate
@@ -328,6 +328,104 @@ def csv_table(header, rows):
     return out.getvalue()
 
 
+class ExtVal:
+    """The oracle of bicrit.arith's valuations (plain rationals and
+    INFINITY): a rational valuation value, or +infinity (the valuation of
+    0), wrapped in one class that re-implements Fraction's arithmetic.
+
+    Totally ordered with INFINITY maximal.  Addition absorbs INFINITY;
+    positive integer scaling preserves it.
+    """
+
+    __slots__ = ("_v",)
+
+    def __init__(self, value: "int | Fraction | ExtVal" = 0):
+        if isinstance(value, ExtVal):
+            self._v = value._v
+        elif isinstance(value, (int, Fraction)):
+            self._v = Fraction(value)
+        else:
+            raise DomainError(f"cannot build ExtVal from {value!r}")
+
+    @property
+    def is_infinite(self) -> bool:
+        return self._v is None
+
+    @property
+    def finite(self) -> Fraction:
+        if self._v is None:
+            raise DomainError("INFINITY has no finite value")
+        return self._v
+
+    def __add__(self, other):
+        other = ExtVal(other)
+        if self._v is None or other._v is None:
+            return EXT_INFINITY
+        return ExtVal(self._v + other._v)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        other = ExtVal(other)
+        if other._v is None:
+            raise DomainError("cannot subtract INFINITY")
+        if self._v is None:
+            return EXT_INFINITY
+        return ExtVal(self._v - other._v)
+
+    def __rmul__(self, m: int):
+        if not isinstance(m, int):
+            return NotImplemented
+        if self._v is None:
+            if m <= 0:
+                raise DomainError("only positive multiples of INFINITY are defined")
+            return EXT_INFINITY
+        return ExtVal(m * self._v)
+
+    def _cmp_key(self):
+        # (0, value) for finite, (1, 0) for infinity: sorts INFINITY last
+        return (1, Fraction(0)) if self._v is None else (0, self._v)
+
+    def __eq__(self, other):
+        try:
+            other = ExtVal(other)
+        except DomainError:
+            return NotImplemented
+        return self._v == other._v
+
+    def __lt__(self, other):
+        return self._cmp_key() < ExtVal(other)._cmp_key()
+
+    def __le__(self, other):
+        return self._cmp_key() <= ExtVal(other)._cmp_key()
+
+    def __gt__(self, other):
+        return self._cmp_key() > ExtVal(other)._cmp_key()
+
+    def __ge__(self, other):
+        return self._cmp_key() >= ExtVal(other)._cmp_key()
+
+    def __hash__(self):
+        return hash(self._v)
+
+    def __repr__(self):
+        return "ExtVal(INFINITY)" if self._v is None else f"ExtVal({self._v})"
+
+    def __str__(self):
+        return "inf" if self._v is None else str(self._v)
+
+    @staticmethod
+    def parse(text: str) -> "ExtVal":
+        text = text.strip()
+        if text.lower() in ("inf", "infinity", "+inf"):
+            return EXT_INFINITY
+        return ExtVal(Fraction(text))
+
+
+EXT_INFINITY = ExtVal.__new__(ExtVal)
+EXT_INFINITY._v = None
+
+
 def _int_val_fast(n, p):
     """Exact exponent of p in n != 0, stripping p^(2^j) chunks."""
     e = 0
@@ -355,8 +453,6 @@ def exact_orbit_valuations(d, k, p, alpha, beta, start, n):
     reduction, so divergent orbits stay tractable)."""
     from math import lcm
 
-    from bicrit.arith import INFINITY
-
     B = factorial_belyi_coeffs(d, k)
     scale = 1
     for c in B:
@@ -383,7 +479,7 @@ def exact_orbit_valuations(d, k, p, alpha, beta, start, n):
         if xn == 0:
             out.append(INFINITY)
         else:
-            out.append(ExtVal(_int_val_fast(xn, p) - _int_val_fast(xd, p)))
+            out.append(_int_val_fast(xn, p) - _int_val_fast(xd, p))
     return out
 
 
@@ -406,7 +502,7 @@ def sample_case_valuations(rng, d, k, r, e, case):
     for _ in range(10_000):
         va = rng.randrange(-4, 7)
         vb = rng.randrange(-4, 7)
-        params = ValParams(d, k, r, e, ExtVal(va), ExtVal(vb))
+        params = ValParams(d, k, r, e, va, vb)
         if classify_case(params) is case:
             return va, vb
     raise AssertionError(f"no sample found for {case} at (d,k)=({d},{k})")
