@@ -1,11 +1,11 @@
 """Byte-for-byte guard on the CLI reports.
 
 Every README command, plus one integrality FAIL, three more degree scans,
-three valdyn orbits with infinite or non-integer valuations, and the
-transversality and integrality cases of the benchmark, is pinned by its
-exit code and the sha256 of its stdout.  Only the ``elapsed_us`` timing
-is masked before hashing; every other byte of the report must stay the
-same.
+three valdyn orbits with infinite or non-integer valuations, the
+transversality and integrality cases of the benchmark, and six more
+additive transversality shapes, is pinned by its exit code and the sha256
+of its stdout.  Only the ``elapsed_us`` timing is masked before hashing;
+every other byte of the report must stay the same.
 """
 
 import hashlib
@@ -80,6 +80,21 @@ GOLDEN = [
      "c3f99f086a6b87d1feb9fe4f904b40d3158adcd9ae8b1c7ac3a3fbf0e7aa8731"),
     ("pcf transversality --d 9 --k 2 --n 2 --m 2 --emax 4 --budget 1000000", 0,
      "2c9ca0dad71a5e70826dba8789663bb22411029de4ca80a6f0fef3d5d0c44da3"),
+    # additive shapes with n = m (N = d - r a power of p), pinned while their
+    # points still came from Res_c(F, G): the closed-form route must keep
+    # every byte.  (9,3) has r = 2 and (8,3) r = 3
+    ("pcf transversality --d 9 --k 2 --n 3 --m 3 --emax 5", 0,
+     "11f20c4fc090ee3b600413879e402d89cd1d4fd901c757393fc8fcd12f94b8fe"),
+    ("pcf transversality --d 5 --k 1 --n 2 --m 2 --emax 4", 0,
+     "3e12d8454f7252dd9bb65bdc7e884a39096cb079a39f8b5d4e9f9e2910901c38"),
+    ("pcf transversality --d 13 --k 3 --n 2 --m 2 --emax 2", 0,
+     "8791c846ef1494f82b2e854a55242f0d16b577a1706105d885c661a2f77b289a"),
+    ("pcf transversality --d 8 --k 1 --n 3 --m 3 --emax 3", 0,
+     "430bc166d19f95d6def3826d6c7fb2992ac1e8cbf782d75239ab8047a2457864"),
+    ("pcf transversality --d 9 --k 3 --n 2 --m 2 --emax 2", 0,
+     "c57c572aecfe3c8e75a4e1f29e37e2c32b7a682dcacdde377df2382978a6917d"),
+    ("pcf transversality --d 8 --k 3 --n 2 --m 2 --emax 2", 0,
+     "43e65256a85e6c6897be7246de3caa786b20feecbb4ad88caf0cb6d0f62a595c"),
     # the ten integrality slots of the pcf benchmark workload, the locus of
     # (4,1,5,3) with its 3,456 + 165 terms among them
     ("pcf integrality --d 6 --k 2 --n 2 --m 2", 0,
