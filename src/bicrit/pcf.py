@@ -15,11 +15,13 @@ are stripped and logged first: a = 0 is not a degree-d map, and solutions
 with a = 0 mod p are excluded separately.
 
 Transversality is certified modulo an IDF prime p, where B collapses to
-the monomial s*z^(t*p) with s in GF(p).  So the reduced locus and its
-Jacobian lie in GF(p)[a, c]: they are built over GF(p), the same for every
-e, and their common roots over GF(p^e) come from elimination: the roots of
-Res_c(F, G) over GF(p) that lie in GF(p^e), then the common roots in c above
-each of them.  Every common root (alpha, beta) must make the Jacobian
+the monomial s*z^N with s in GF(p) and N = d - r = t*p.  So the reduced
+locus and its Jacobian lie in GF(p)[a, c]: they are built over GF(p), the
+same for every e.  When N is a power of p and n = m, the common roots over
+GF(p^e) have a closed form (:func:`_additive_points`); otherwise they come
+from elimination: the roots of Res_c(F, G) over GF(p) that lie in GF(p^e),
+then the common roots in c above each of them.  Every common root
+(alpha, beta) must make the Jacobian
 
     J = F_a * G_c - G_a * F_c
 
@@ -244,6 +246,13 @@ def jacobian(F: SparsePoly, G: SparsePoly) -> SparsePoly:
     return F.partial(_A) * G.partial(_C) - G.partial(_A) * F.partial(_C)
 
 
+def _is_power(x: int, p: int) -> bool:
+    """Whether x = p^j for some j >= 0."""
+    while x > 1 and x % p == 0:
+        x //= p
+    return x == 1
+
+
 def _field_work(d: int, witness: IdfWitness, n: int, m: int, e: int) -> tuple[int, bool]:
     """Predicted cost of solve_mod over GF(p^e), from degrees alone, and
     whether eliminating is cheaper than scanning the Frobenius orbits.
@@ -271,6 +280,10 @@ def _field_work(d: int, witness: IdfWitness, n: int, m: int, e: int) -> tuple[in
     counts the work that grows with the number of solutions (splitting the
     common roots off, a Jacobian at each), which both routes share.  Returns
     the cheaper route's work.
+
+    The prices hold for every shape, but when N is a power of p and n = m
+    solve_mod takes neither route: it finds the points in closed form and
+    does not read the route flag.
     """
     p = witness.p
     N = d - witness.r
@@ -278,10 +291,7 @@ def _field_work(d: int, witness: IdfWitness, n: int, m: int, e: int) -> tuple[in
     gc, ga = N ** (m - 1), sum(N**i for i in range(m))
     D = fc * ga + gc * fa
     s, size = min(fc, gc), fc + gc
-    t = N
-    while t % p == 0:
-        t //= p
-    resultant = size * size * D if s > 1 and t == 1 else _resultant_work(s, size, D)
+    resultant = size * size * D if s > 1 and _is_power(N, p) else _resultant_work(s, size, D)
     bits = p.bit_length()
     eliminate = resultant + bits * e * D**2
     scan = _FIELD_STEP * p**e // e * e**2 * (fc * gc + 30 * size + 100 * e * bits)
@@ -300,6 +310,119 @@ class SolveModResult(NamedTuple):
     excluded_alpha_zero: int
 
 
+def _orbit_points(alphas, roots_above, p: int) -> list[tuple[FieldElem, FieldElem]]:
+    """Every point (alpha, beta) from one alpha of each Frobenius orbit,
+    given as (alpha, orbit size), and the betas that ``roots_above(alpha)``
+    returns: the rest are their images under (alpha, beta) -> (alpha^p,
+    beta^p), which fix the loci, as these lie in GF(p)[a, c]."""
+    points = []
+    for alpha, size in alphas:
+        betas = roots_above(alpha)
+        for _ in range(size):
+            points += [(alpha, beta) for beta in betas]
+            alpha, betas = alpha**p, [beta**p for beta in betas]
+    return points
+
+
+def _general_points(
+    Fbar: SparsePoly, Gbar: SparsePoly, n: int, m: int, field: GF, eliminate: bool
+) -> list[tuple[FieldElem, FieldElem]]:
+    """The common roots of F_n and G_m over ``field`` with alpha != 0,
+    unsorted, by elimination or by the orbit scan.
+
+    The leading coefficients of F and G in c are monomials in a, so for
+    alpha != 0, R(alpha) = 0 for R = Res_c(F, G) over GF(p) exactly when
+    F(alpha, c) and G(alpha, c) have a common root.  With ``eliminate``,
+    one root alpha of each irreducible factor of R whose degree divides e
+    is taken; without, one alpha of every Frobenius orbit of GF(p^e)*.
+    Above each, the common roots beta in GF(p^e) of F(alpha, c) and
+    G(alpha, c).
+    """
+    if eliminate:
+        R = resultant_mod(Fbar, Gbar, eliminate=_C)
+        if not R:
+            raise DomainError(
+                f"Res_c(F_{n}, G_{m}) vanishes mod {field.p}: the reduced curves share a component"
+            )
+        while not R[0]:  # a^j: alpha = 0 is no solution
+            R = R[1:]
+        alphas = frobenius_orbits(R, field)
+    else:
+        alphas = field.orbits()
+
+    def roots_above(alpha):
+        return common_roots(Fbar.specialize(_A, alpha), Gbar.specialize(_A, alpha), field)
+
+    return _orbit_points(alphas, roots_above, field.p)
+
+
+def _additive_points(
+    Fbar: SparsePoly, Gbar: SparsePoly, field: GF, s: int, N: int, n: int
+) -> list[tuple[FieldElem, FieldElem]]:
+    """The common roots of F_n and G_n over ``field``, unsorted, when the
+    reduced map a*s*z^N + c has N a power of p: then it is additive in z,
+    and f^j(z) = F_j + (a*s)^M_j * z^(N^j) with M_j = (N^j - 1)/(N - 1).
+
+    So G_n - F_n = (a*s)^M - 1 with M = M_n, and F_n is a p-polynomial in c
+    (every power of c is a power of p) whose coefficient of c is 1 (Ore 1933,
+    "On a special class of polynomials").  Both facts are checked on Fbar
+    and Gbar; if either fails, ArithmeticError, and no point is returned.
+    The points are then {alpha : (alpha*s)^M = 1} x ker L_alpha, where
+    L_alpha = F_n(alpha, .) is GF(p)-linear on GF(p^e): the alpha are the
+    roots of (s*a)^M - 1, one for each Frobenius orbit, and the betas the
+    kernel of the e x e matrix of L_alpha over GF(p), enumerated.
+    """
+    p, e = field.p, field.e
+    M = (N**n - 1) // (N - 1)
+    unit = SparsePoly(2, {(M, 0): pow(s, M, p), (0, 0): -1}, p)
+    if Gbar - Fbar != unit or any(
+        not _is_power(exps[_C], p) or (exps[_C] == 1 and (exps, c) != ((0, 1), 1))
+        for exps, c in Fbar.terms.items()
+    ):
+        raise ArithmeticError(
+            f"the reduced locus over GF({p}) is not additive: G - F is not "
+            f"(a*{s})^{M} - 1, or F is no p-polynomial in c with c-coefficient 1"
+        )
+    # L(x^j) = sum_i mu_i * (x^j)^(p^i) on GF(p^e), where mu_i sums the
+    # coefficients of the c^(p^k) with k = i mod e, as x^(p^e) = x there
+    frob = {p**k: k % e for k in range(Fbar.degree(_C).bit_length())}
+    basis = [field.elem((0,) * j + (1,)) for j in range(e)]
+    conj = [basis]  # conj[i][j] = (x^j)^(p^i)
+    while len(conj) < e:
+        conj.append([b**p for b in conj[-1]])
+
+    def kernel(alpha):
+        mu = [field.zero] * e
+        for q, coeff in enumerate(Fbar.specialize(_A, alpha)):
+            if coeff:
+                mu[frob[q]] = mu[frob[q]] + coeff
+        # Gaussian elimination on the columns L(x^j), each with the
+        # combination of basis vectors it stands for: a column reduced to 0
+        # leaves a kernel vector
+        pivots, vectors = [], []
+        for j in range(e):
+            col = sum((mu[i] * conj[i][j] for i in range(e)), field.zero)
+            v, comb = list(col.coeffs), [int(i == j) for i in range(e)]
+            for pos, w, wc in pivots:
+                if v[pos]:
+                    f = v[pos]
+                    v = [(x - f * y) % p for x, y in zip(v, w)]
+                    comb = [(x - f * y) % p for x, y in zip(comb, wc)]
+            pos = next((i for i, x in enumerate(v) if x), None)
+            if pos is None:
+                vectors.append(comb)
+            else:
+                inv = pow(v[pos], -1, p)
+                pivots.append((pos, [x * inv % p for x in v], [x * inv % p for x in comb]))
+        betas = [(0,) * e]
+        for w in vectors:
+            betas = [tuple((x + t * y) % p for x, y in zip(u, w)) for u in betas for t in range(p)]
+        return [field.elem(b) for b in betas]
+
+    roots = [-1 % p] + [0] * (M - 1) + [pow(s, M, p)]  # (s*a)^M - 1
+    return _orbit_points(frobenius_orbits(roots, field), kernel, p)
+
+
 def solve_mod(
     d: int,
     k: int,
@@ -313,42 +436,27 @@ def solve_mod(
     values, sorted by (alpha, beta) coefficient tuples.
 
     F_n, G_m (each under the monomial ``budget``) and J are built over
-    GF(p), where they lie, and the roots come from elimination.  The leading
-    coefficients of F and G in c are monomials in a, so for alpha != 0,
-    R(alpha) = 0 for R = Res_c(F, G) over GF(p) exactly when F(alpha, c)
-    and G(alpha, c) have a common root.  One root alpha of each irreducible
-    factor of R whose degree divides e gives the common roots beta in
-    GF(p^e) of F(alpha, c) and G(alpha, c); the rest are their images under
-    (alpha, beta) -> (alpha^p, beta^p).  Where _field_work predicts that
-    scanning costs less (a small field against a dense R of high degree, as
-    for (8, 2, 3, 3), where deg R reaches 1800), one alpha of every
-    Frobenius orbit of GF(p^e)* is tried instead.  No root has alpha = 0,
+    GF(p), where they lie.  Mod p the map is a*s*z^N + c with N = d - r.
+    When N is a power of p and n = m, the points come in closed form
+    (:func:`_additive_points`): no resultant is formed and no root split
+    off above an alpha.  Every other shape takes :func:`_general_points`,
+    by elimination, or, where _field_work predicts that scanning costs less
+    (a small field against a dense R of high degree, as for (8, 2, 3, 3),
+    where deg R reaches 1800), by trying one alpha of every Frobenius orbit
+    of GF(p^e)*.  J is evaluated at every point.  No root has alpha = 0,
     where F = c and G = c - 1, so ``excluded_alpha_zero`` is 0.
     """
-    if not witness.holds_for(d, k):
-        raise DomainError(f"{witness} is not an IDF witness for ({d}, {k})")
+    s, t = reduce_map(d, k, witness)
     p = witness.p
     Fbar = critical_orbit_poly(d, k, 0, n, budget, p).poly
     Gbar = critical_orbit_poly(d, k, 1, m, budget, p).poly
     Jbar = jacobian(Fbar, Gbar)
     field = GF(p, e)
-    if _field_work(d, witness, n, m, e)[1]:
-        R = resultant_mod(Fbar, Gbar, eliminate=_C)
-        if not R:
-            raise DomainError(
-                f"Res_c(F_{n}, G_{m}) vanishes mod {p}: the reduced curves share a component"
-            )
-        while not R[0]:  # a^j: alpha = 0 is no solution
-            R = R[1:]
-        alphas = frobenius_orbits(R, field)
+    if n == m and _is_power(t * p, p):
+        points = _additive_points(Fbar, Gbar, field, s, t * p, n)
     else:
-        alphas = field.orbits()
-    points = []
-    for alpha, size in alphas:
-        betas = common_roots(Fbar.specialize(_A, alpha), Gbar.specialize(_A, alpha), field)
-        for _ in range(size):
-            points += [(alpha, beta) for beta in betas]
-            alpha, betas = alpha**p, [beta**p for beta in betas]
+        eliminate = _field_work(d, witness, n, m, e)[1]
+        points = _general_points(Fbar, Gbar, n, m, field, eliminate)
     points.sort(key=lambda pt: (pt[0].coeffs, pt[1].coeffs))
     sols = (FiniteSolution(a, c, Jbar.evaluate((a, c))) for a, c in points)
     return SolveModResult(field, tuple(sols), 0)

@@ -333,6 +333,74 @@ class TestSolveMod:
             solve_mod(3, 1, 2, 1, find_idf_prime(3, 1), 1)
 
 
+class TestAdditiveClosedForm:
+    # N = d - r is a power of p on all of these shapes (r = 3 for (8, 3), r = 2
+    # for (9, 3)), so at n = m solve_mod takes the closed form
+
+    ADDITIVE = [(3, 1), (4, 1), (5, 1), (7, 2), (8, 1), (9, 2), (8, 3), (9, 3), (13, 6)]
+
+    @settings(max_examples=20, deadline=None)
+    @given(dk=st.sampled_from(ADDITIVE), n=st.integers(1, 2), e=st.integers(1, 4))
+    def test_matches_general_route_and_pointwise_iteration(self, dk, n, e):
+        d, k = dk
+        w = find_idf_prime(d, k)
+        assume(w.p ** (2 * e) <= 10_000)
+        res = solve_mod(d, k, n, n, w, e)
+        F = critical_orbit_poly(d, k, 0, n, p=w.p).poly
+        G = critical_orbit_poly(d, k, 1, n, p=w.p).poly
+        J = jacobian(F, G)
+        for eliminate in (True, False):
+            points = bicrit.pcf._general_points(F, G, n, n, res.field, eliminate)
+            points.sort(key=lambda pt: (pt[0].coeffs, pt[1].coeffs))
+            sols = tuple(FiniteSolution(a, c, J.evaluate((a, c))) for a, c in points)
+            assert res == SolveModResult(res.field, sols, 0)
+        got = [(s.alpha, s.beta, s.jacobian_value) for s in res.solutions]
+        assert got == dual_orbit_solutions(d, k, n, n, res.field)
+
+    def test_no_resultant_and_no_root_split(self, monkeypatch):
+        def general_route(*args, **kwargs):
+            raise AssertionError("the general route was taken")
+
+        for name in ("_field_work", "resultant_mod", "common_roots"):
+            monkeypatch.setattr(bicrit.pcf, name, general_route)
+        for case, e in (((7, 2, 3, 3), 3), ((9, 3, 2, 2), 2), ((4, 1, 2, 2), 6)):
+            assert solve_mod(*case, find_idf_prime(*case[:2]), e).solutions
+
+    @pytest.mark.parametrize(
+        "case, e, count", [((7, 2, 2, 2), 2, 56), ((9, 2, 2, 2), 4, 90), ((7, 2, 3, 3), 3, 2793)]
+    )
+    def test_points_and_unit_in_closed_form(self, case, e, count):
+        # M = (N^n - 1)/(N - 1) values of alpha, each under N^(n-1) betas when
+        # GF(p^e) holds all of them; alpha * J = -M = -1 mod p at every point
+        d, k, n, _ = case
+        w = find_idf_prime(d, k)
+        N = d - w.r
+        res = solve_mod(*case, w, e)
+        assert len(res.solutions) == (N**n - 1) // (N - 1) * N ** (n - 1) == count
+        minus_one = -res.field.one
+        assert all(s.alpha * s.jacobian_value == minus_one for s in res.solutions)
+
+    @pytest.mark.parametrize(
+        "which, extra",
+        [
+            ((1,), {(1, 1): 1}),  # G - F is no longer (a*s)^M - 1
+            ((0, 1), {(1, 1): 1}),  # F's coefficient of c is 1 + a
+            ((0, 1), {(0, 2): 1}),  # F is no p-polynomial in c
+        ],
+    )
+    def test_tampered_locus_is_refused(self, monkeypatch, which, extra):
+        real = bicrit.pcf.critical_orbit_poly
+
+        def tampered(d, k, w, n, budget=10_000, p=None):
+            orbit = real(d, k, w, n, budget, p)
+            poly = orbit.poly + sp(extra, p) if w in which else orbit.poly
+            return type(orbit)(d, k, w, n, poly)
+
+        monkeypatch.setattr(bicrit.pcf, "critical_orbit_poly", tampered)
+        with pytest.raises(ArithmeticError, match="not additive"):
+            solve_mod(7, 2, 2, 2, find_idf_prime(7, 2), 2)
+
+
 class TestPredictedWork:
     def test_prices_are_pinned(self):
         # refusals and their messages quote these numbers, so both prices
