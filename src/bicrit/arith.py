@@ -135,11 +135,7 @@ def factor(n: int) -> tuple[tuple[int, int], ...]:
         if p * p > m:
             break
         if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            counts[p] = e
+            counts[p], m = _strip(m, p)
     budget = RHO_STEP_LIMIT
     if m > 1:
         stack = [m]
@@ -228,13 +224,13 @@ def _valuation(x) -> bool:
     return x is INFINITY or isinstance(x, (int, Fraction))
 
 
-def _int_val(n: int, p: int) -> int:
-    # n != 0
+def _strip(n: int, p: int) -> tuple[int, int]:
+    """(e, m) with n = p^e * m and m prime to p, for n != 0."""
     e = 0
     while n % p == 0:
         n //= p
         e += 1
-    return e
+    return e, n
 
 
 def val_p(x: "int | Fraction", p: int) -> "Fraction | _Infinity":
@@ -244,4 +240,4 @@ def val_p(x: "int | Fraction", p: int) -> "Fraction | _Infinity":
     if x == 0:
         return INFINITY
     x = Fraction(x)
-    return Fraction(_int_val(x.numerator, p) - _int_val(x.denominator, p))
+    return Fraction(_strip(x.numerator, p)[0] - _strip(x.denominator, p)[0])

@@ -148,22 +148,6 @@ class NCriticalForm(NamedTuple):
     def symbolic(self) -> bool:
         return self.gammas is None and len(self.profile) == 2
 
-    def coeff(self, z_exp: int):
-        for e, c in self.coeffs:
-            if e == z_exp:
-                return c
-        if self.symbolic:
-            return UniPoly()
-        return Fraction(0)
-
-    def polynomial(self) -> UniPoly:
-        if self.symbolic:
-            raise DomainError("symbolic form has no single-variable polynomial")
-        dense = [0] * (self.d + 1)
-        for e, c in self.coeffs:
-            dense[e] = c
-        return UniPoly(dense)
-
 
 def ncritical_form(d: int, profile, gammas=None) -> NCriticalForm:
     """Construct the n-critical normal form (a, c wrapper applied outside).

@@ -515,6 +515,21 @@ def main(argv=None) -> int:
         return EXIT_USAGE
 
     _bind(ns.group)
+    # a report writes exact integers of any size: lift the limit on int-str
+    # conversions (Python 3.10.7 and later) while the command runs, and
+    # restore it for in-process callers
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        return _run(ns)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
+def _run(ns) -> int:
+    """Run the parsed command's handler and write its report; the exit code."""
     started = time.perf_counter()
     try:
         payload, verdict, table = ns.handler(ns)

@@ -27,7 +27,7 @@ from math import gcd, isqrt
 from operator import not_
 from typing import NamedTuple
 
-from .arith import factor, is_prime, primes_upto
+from .arith import _strip, factor, is_prime, primes_upto
 from .errors import DomainError, ResourceBudgetError
 
 __all__ = [
@@ -98,11 +98,7 @@ def is_idf_prime(p: int, d: int, k: int):
     r = d % p
     if r > k:
         return IdfRejection(p, d, k, f"p divides no d - r with r <= {k}")
-    e = 0
-    m = d - r
-    while m % p == 0:
-        m //= p
-        e += 1
+    e = _strip(d - r, p)[0]
     if r == 1:
         return IdfRejection(
             p, d, k, "r = 1 divides every exponent", r=1
@@ -159,10 +155,7 @@ def _rough_factor(m: int, smooth: int, primes: list[int]) -> list[tuple[int, int
         if p * p > m:
             break
         if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
+            e, m = _strip(m, p)
             out.append((p, e))
     if m > 1:
         out.append((m, 1))

@@ -36,7 +36,7 @@ from fractions import Fraction
 from itertools import product
 from typing import NamedTuple
 
-from .arith import val_p
+from .arith import _strip, val_p
 from .belyi import belyi_coeffs, ncritical_form
 from .errors import DomainError, ResourceBudgetError, UnsupportedParametersError
 from .idf import IdfWitness, find_idf_prime
@@ -248,9 +248,7 @@ def jacobian(F: SparsePoly, G: SparsePoly) -> SparsePoly:
 
 def _is_power(x: int, p: int) -> bool:
     """Whether x = p^j for some j >= 0."""
-    while x > 1 and x % p == 0:
-        x //= p
-    return x == 1
+    return x != 0 and _strip(x, p)[1] == 1
 
 
 def _field_work(d: int, witness: IdfWitness, n: int, m: int, e: int) -> tuple[int, bool]:

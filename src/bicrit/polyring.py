@@ -24,9 +24,10 @@ Provides
   over Q (``p`` None) or over GF(p) (``p`` a prime), with coefficients held
   as plain numbers: ints or Fractions over Q, ints in [1, p) over GF(p).
   Two variables carry the (a, c) parameter plane, three the (a, c, gamma)
-  counterexample checks.  A product packs each row of a factor, its terms
-  of one exponent of one variable, into one int, and takes one int product
-  per pair of rows (Kronecker substitution).  A polynomial over GF(p) is
+  counterexample checks.  A product in one or two variables packs each row
+  of a factor, its terms of one exponent of one variable, into one int, and
+  takes one int product per pair of rows (Kronecker substitution); in three
+  or more it is the plain convolution.  A polynomial over GF(p) is
   evaluated at points of any GF(p^e).
 * Bivariate resultants as Sylvester determinants, over Q
   (:func:`bivariate_resultant`: denominators are cleared once) and over
@@ -49,7 +50,7 @@ from itertools import compress, product
 from math import gcd, lcm
 from typing import NamedTuple
 
-from .arith import INFINITY, _int_val, factor, is_prime
+from .arith import INFINITY, _strip, factor, is_prime
 from .errors import DomainError
 
 __all__ = [
@@ -596,16 +597,6 @@ class UniPoly:
     def __hash__(self):
         return hash(self.coeffs)
 
-    def derivative(self) -> "UniPoly":
-        return UniPoly(i * c for i, c in enumerate(self.coeffs[1:], start=1))
-
-    def evaluate(self, x):
-        x = _rational(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     def trailing_zeros(self) -> int:
         """Order of vanishing at 0 (0 for the zero polynomial)."""
         for i, c in enumerate(self.coeffs):
@@ -882,7 +873,7 @@ def newton_polygon(f: UniPoly, p: int) -> NewtonPolygon:
         raise DomainError(f"{p} is not prime")
     # v_p of each nonzero coefficient, as val_p reads it, with p tested once
     pts = [
-        (i, Fraction(_int_val(c.numerator, p) - _int_val(c.denominator, p)))
+        (i, Fraction(_strip(c.numerator, p)[0] - _strip(c.denominator, p)[0]))
         for i, c in enumerate(f.coeffs)
         if c
     ]
@@ -912,15 +903,14 @@ def _sparse_mul(A: dict, B: dict, nvars: int, p: int | None) -> dict:
     dicts (over GF(p), values in [1, p)), as a dict of nonzero values
     (over GF(p), reduced).
 
-    The terms are cut into rows along the variable with the fewest
-    distinct exponents in the larger factor, and :func:`_row_product`
-    multiplies the rows.  With two variables the other exponent is the
-    slot; with more, the other variables form one slot index by mixed
-    radix, each radix above the product's degree in its variable, so that
-    exponents add as slot indices do.
+    With two variables the terms are cut into rows along the variable with
+    the fewer distinct exponents in the larger factor, the other exponent
+    is the slot, and :func:`_row_product` multiplies the rows; one variable
+    is one row.  With none, or three or more, the terms are convolved one
+    pair at a time.
     """
-    big = A if len(A) >= len(B) else B
     if nvars == 2:
+        big = A if len(A) >= len(B) else B
         rows, slots = zip(*big)
         if len(set(rows)) <= len(set(slots)):
             return _row_product(A, B, p)  # exponent pairs are (row, slot) already
@@ -929,29 +919,18 @@ def _sparse_mul(A: dict, B: dict, nvars: int, p: int | None) -> dict:
             return {(s, i): c for (i, s), c in terms.items()}
 
         return swap(_row_product(swap(A), swap(B), p))
-    rest = list(range(nvars))
-    r = None  # one row of every term when there is at most one variable
-    if nvars > 1:
-        counts = [len(set(x)) for x in zip(*big)]
-        r = rest.pop(counts.index(min(counts)))
-    radix = [max(e[v] for e in A) + max(e[v] for e in B) + 1 for v in rest]
-
-    def split(terms):
-        out = {}
-        for e, c in terms.items():
-            s = 0
-            for v, x in zip(rest, radix):
-                s = s * x + e[v]
-            out[0 if r is None else e[r], s] = c
-        return out
-
-    out = {}
-    for (i, s), c in _row_product(split(A), split(B), p).items():
-        e = [i] * nvars
-        for v, x in zip(reversed(rest), reversed(radix)):
-            s, e[v] = divmod(s, x)
-        out[tuple(e)] = c
-    return out
+    if nvars == 1:
+        out = _row_product({(0, *e): c for e, c in A.items()},
+                           {(0, *e): c for e, c in B.items()}, p)
+        return {e[1:]: c for e, c in out.items()}
+    out: dict = {}
+    for ea, x in A.items():
+        for eb, y in B.items():
+            e = tuple(map(operator.add, ea, eb))
+            out[e] = out.get(e, 0) + x * y
+    if p is None:
+        return {e: c for e, c in out.items() if c}
+    return {e: c % p for e, c in out.items() if c % p}
 
 
 def _row_product(A: dict, B: dict, p: int | None) -> dict:
@@ -1127,7 +1106,7 @@ class SparsePoly:
         return (-self) + other
 
     def __mul__(self, other):
-        """The product, by Kronecker substitution (:func:`_sparse_mul`).
+        """The product, by :func:`_sparse_mul`.
 
         Over Q both factors are first scaled to integer coefficients (ints
         have a numerator and a denominator too) and the product is divided

@@ -56,11 +56,11 @@ def test_01_belyi_invariants():
         for d in range(3, 41):
             for k in range(1, (d - 1) // 2 + 1):
                 b = belyi_coeffs(d, k)
-                poly = b.polynomial()
-                assert poly.evaluate(0) == 0
-                assert poly.evaluate(1) == 1
+                assert b.evaluate(0) == 0
+                assert b.evaluate(1) == 1
                 rhs = (d * b.coeffs[0]) * z ** (d - k - 1) * (z - one) ** k
-                assert poly.derivative() == rhs
+                dz = UniPoly(i * c for i, c in enumerate(b.polynomial().coeffs[1:], 1))
+                assert dz == rhs
                 pairs += 1
         assert pairs >= 370
 

@@ -188,6 +188,25 @@ class TestValP:
             assert vsum == m
 
 
+class TestStrip:
+    """The one strip-p-and-count loop, against the largest j with p^j | n."""
+
+    @given(
+        n=st.integers(-(10**30), 10**30).filter(bool),
+        p=st.sampled_from((2, 3, 5, 7, 13)),
+        j=st.integers(0, 30),
+    )
+    @example(n=1, p=2, j=0)
+    @example(n=-1, p=13, j=30)
+    @settings(max_examples=300)
+    def test_matches_the_largest_power_dividing(self, n, p, j):
+        n *= p**j
+        e, rest = bicrit.arith._strip(n, p)
+        assert e == max(i for i in range(n.bit_length() + 1) if n % p**i == 0)
+        assert p**e * rest == n
+        assert rest % p != 0
+
+
 # a valuation: an int, a Fraction or INFINITY
 VALUATIONS = st.one_of(
     st.integers(-50, 50),

@@ -52,6 +52,7 @@ ORBIT = "valdyn orbit --d 5 --k 1 --r 0 --e 1 --valpha -1 --vbeta -1 --start 0"
 CLASSIFY = "valdyn classify --d 5 --k 1 --r 0 --e 1 --valpha -1 --vbeta -1"
 INTEGRALITY = "pcf integrality --d 3 --k 1 --n 2 --m 1"
 TRANSVERSALITY = "pcf transversality --d 3 --k 1 --n 2 --m 1"
+BIG_ORBIT = f"valdyn orbit --d {10**40} --k 1 --r 0 --e 40 --valpha -1 --vbeta -1 --start 0 --steps 110"
 
 # (argv, library call to change or None, change, verdict, exit code)
 VERDICTS = [
@@ -414,6 +415,27 @@ class TestReports:
             "-1", "-6", "-31", "-156"
         ]
         assert rep["result"]["certificate"]["kind"] == "diverging"
+
+    def test_integers_past_the_str_digit_limit(self, capsys):
+        # step n of the orbit is -(1 + d + ... + d^(n-1)): 4,361 digits at
+        # n = 110 for d = 10^40, past Python's default 4,300
+        code, rep = run_json(capsys, *BIG_ORBIT.split())
+        assert code == 0
+        assert rep["result"]["orbit"][-1]["value"] == "-" + ("1" + "0" * 39) * 109 + "1"
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-str limit")
+    def test_int_str_limit_is_restored(self, capsys):
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(1000)
+        try:
+            # after a report, after a usage error in the handler, and after
+            # one in the flags
+            for argv, exit_code in ((BIG_ORBIT, 0), (BIG_ORBIT.replace("--e 40", "--e 41"), 2),
+                                    ("valdyn orbit --d x", 2)):
+                assert run(capsys, *argv.split())[0] == exit_code
+                assert sys.get_int_max_str_digits() == 1000
+        finally:
+            sys.set_int_max_str_digits(saved)
 
     def test_counterexamples(self, capsys):
         code, rep = run_json(capsys, "pcf", "counterexamples")

@@ -1,11 +1,11 @@
 """Byte-for-byte guard on the CLI reports.
 
 Every README command, plus one integrality FAIL, three more degree scans,
-three valdyn orbits with infinite or non-integer valuations, the
-transversality and integrality cases of the benchmark, and six more
-additive transversality shapes, is pinned by its exit code and the sha256
-of its stdout.  Only the ``elapsed_us`` timing is masked before hashing;
-every other byte of the report must stay the same.
+three p-adic exponents, three valdyn orbits with infinite or non-integer
+valuations, the transversality and integrality cases of the benchmark, and
+six more additive transversality shapes, is pinned by its exit code and the
+sha256 of its stdout.  Only the ``elapsed_us`` timing is masked before
+hashing; every other byte of the report must stay the same.
 """
 
 import hashlib
@@ -33,6 +33,14 @@ GOLDEN = [
      "89f2107340910610d7e3c8d4f717ab69cfeb061b6b8172e6a23ecb768309e061"),
     ("idf mordell --xmax 1000 --format csv", 0,
      "3c06aebabbeae8f4fcdc351de3925bb7ed1344126536acf6ff272b4750236f99"),
+    # exponents read by stripping p: 3^20 by trial division, an r = 2
+    # witness, and the exponent loop of is_idf_prime under valdyn classify
+    ("idf find --d 3486784401 --k 1", 0,
+     "49363c36dfb7197739a48f6d9e223867a20e5dd54b1df2ffd68c7fea8e2b0ef2"),
+    ("idf find --d 16 --k 2", 0,
+     "a5970ec7ace59ffba7800b21a6ca57bbb154eed0f64ed0975787e22fd4ddf96d"),
+    ("valdyn classify --d 16 --k 2 --r 2 --e 1 --valpha 1 --vbeta -1", 0,
+     "af17a046e87feac16523122931f98baa6c709ac3be0659570470ee8e8bb7be58"),
     ("idf conjecture --n 51 --k 3", 0,
      "70ed1b0e0ec75ca75304e13bd1459cf1692c57bc3fd71682e00d1dd5dd194c57"),
     ("valdyn classify --d 5 --k 1 --r 0 --e 1 --valpha 2 --vbeta -1", 0,

@@ -339,6 +339,15 @@ class TestAdditiveClosedForm:
 
     ADDITIVE = [(3, 1), (4, 1), (5, 1), (7, 2), (8, 1), (9, 2), (8, 3), (9, 3), (13, 6)]
 
+    @pytest.mark.parametrize("p", (2, 3, 5, 7, 13))
+    def test_is_power(self, p):
+        # the test that picks the closed form: x = p^j, j >= 0
+        assert not bicrit.pcf._is_power(0, p)
+        assert bicrit.pcf._is_power(1, p)
+        for j in range(6):
+            assert bicrit.pcf._is_power(p**j, p)
+            assert not any(bicrit.pcf._is_power(p**j * q, p) for q in (-1, p + 1, 11))
+
     @settings(max_examples=20, deadline=None)
     @given(dk=st.sampled_from(ADDITIVE), n=st.integers(1, 2), e=st.integers(1, 4))
     def test_matches_general_route_and_pointwise_iteration(self, dk, n, e):

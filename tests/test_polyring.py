@@ -90,10 +90,6 @@ def reducible_polys(draw, p, max_terms=6):
 
 
 class TestRingOps:
-    def test_derivative(self):
-        f = qpoly(0, 0, 3, -2)  # 3z^2 - 2z^3
-        assert f.derivative() == qpoly(0, 6, -6)
-
     def test_pow_zero(self):
         f = qpoly(2, 5, 1)
         assert f**0 == qpoly(1)
@@ -120,10 +116,6 @@ class TestRingOps:
         assert exact_div(f, g) == q
         with pytest.raises(DomainError):
             exact_div(qpoly(1, 1), qpoly(0, 1))
-
-    def test_evaluate(self):
-        f = qpoly(1, -2, 3)
-        assert f.evaluate(Fraction(1, 2)) == Fraction(3, 4)
 
 
 class TestResultant:
@@ -311,7 +303,7 @@ class TestBivariateResultant:
                 gc = _specialize_a(G, a0)
                 if fc.degree != F.degree(1) or gc.degree != G.degree(1):
                     continue  # leading coefficient vanished; convention differs
-                assert R.evaluate(a0) == resultant(fc, gc)
+                assert sum(c * a0**i for i, c in enumerate(R.coeffs)) == resultant(fc, gc)
 
     @settings(max_examples=150, deadline=None)
     @given(F=two_var_polys(), G=two_var_polys(), eliminate=st.sampled_from((0, 1)))
@@ -898,7 +890,7 @@ class TestSparseProduct:
     ``util.dict_mul``."""
 
     @settings(max_examples=300, deadline=None)
-    @given(data=st.data(), nvars=st.integers(1, 3), p=st.sampled_from(FIELDS))
+    @given(data=st.data(), nvars=st.integers(1, 4), p=st.sampled_from(FIELDS))
     def test_matches_the_dict_convolution(self, data, nvars, p):
         P = data.draw(sparse_polys(nvars, p))
         Q = data.draw(sparse_polys(nvars, p))
@@ -910,7 +902,7 @@ class TestSparseProduct:
             assert all(type(c) is int for c in (P * Q).terms.values())
 
     @settings(max_examples=150, deadline=None)
-    @given(data=st.data(), nvars=st.integers(1, 3), p=st.sampled_from(FIELDS))
+    @given(data=st.data(), nvars=st.integers(1, 4), p=st.sampled_from(FIELDS))
     def test_one_term_constant_and_zero_operands(self, data, nvars, p):
         P = data.draw(sparse_polys(nvars, p))
         exps = data.draw(st.tuples(*[st.integers(0, 6)] * nvars))
