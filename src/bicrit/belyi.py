@@ -27,7 +27,7 @@ from itertools import product
 from math import comb, factorial
 from typing import NamedTuple
 
-from .errors import DomainError, ResourceBudgetError
+from .errors import DomainError, ResourceBudgetError, spend_bits
 from .polyring import SparsePoly, UniPoly
 
 __all__ = [
@@ -103,13 +103,15 @@ class BelyiPoly(NamedTuple):
 
 
 def belyi_coeffs(d: int, k: int) -> BelyiPoly:
-    """Integer coefficients of the degree-d normal form with parameter k."""
+    """Integer coefficients of the degree-d normal form with parameter k;
+    past EXACT_BIT_BUDGET bits in all, ResourceBudgetError."""
     _check_dk(d, k)
-    return BelyiPoly(
-        d,
-        k,
-        tuple((-1) ** (k - i) * comb(d, i) * comb(d - i - 1, k - i) for i in range(k + 1)),
-    )
+    coeffs = []
+    spent = 0
+    for i in range(k + 1):
+        coeffs.append((-1) ** (k - i) * comb(d, i) * comb(d - i - 1, k - i))
+        spent = spend_bits(spent, coeffs[-1])
+    return BelyiPoly(d, k, tuple(coeffs))
 
 
 def canonical_k(d: int, k: int) -> int:
@@ -154,7 +156,8 @@ def ncritical_form(d: int, profile, gammas=None) -> NCriticalForm:
 
     ``profile`` lists k_0..k_{n-2} (ramification index minus one at
     1, gamma_1, ..., gamma_{n-2}); gammas = None requests a symbolic gamma,
-    which is supported exactly when the profile has two blocks.
+    which is supported exactly when the profile has two blocks.  With
+    coefficients of over EXACT_BIT_BUDGET bits in all, ResourceBudgetError.
     """
     profile = tuple(int(k) for k in profile)
     if not profile:
@@ -214,5 +217,9 @@ def ncritical_form(d: int, profile, gammas=None) -> NCriticalForm:
     coeffs = tuple(
         (e, c) for e, c in sorted(acc.items()) if (c if symbolic else c != 0)
     )
+    spent = 0
+    for _, c in coeffs:
+        for x in c.coeffs if symbolic else (c,):
+            spent = spend_bits(spent, x)
     return NCriticalForm(d, profile, gam_vals, coeffs)
 

@@ -24,10 +24,10 @@ Provides
   over Q (``p`` None) or over GF(p) (``p`` a prime), with coefficients held
   as plain numbers: ints or Fractions over Q, ints in [1, p) over GF(p).
   Two variables carry the (a, c) parameter plane, three the (a, c, gamma)
-  counterexample checks.  A product in one or two variables packs each row
-  of a factor, its terms of one exponent of one variable, into one int, and
-  takes one int product per pair of rows (Kronecker substitution); in three
-  or more it is the plain convolution.  A polynomial over GF(p) is
+  counterexample checks.  A product in two variables packs each row of a
+  factor, its terms of one exponent of one variable, into one int, and
+  takes one int product per pair of rows (Kronecker substitution); in any
+  other number it is the plain convolution.  A polynomial over GF(p) is
   evaluated at points of any GF(p^e).
 * Bivariate resultants as Sylvester determinants, over Q
   (:func:`bivariate_resultant`: denominators are cleared once) and over
@@ -905,9 +905,8 @@ def _sparse_mul(A: dict, B: dict, nvars: int, p: int | None) -> dict:
 
     With two variables the terms are cut into rows along the variable with
     the fewer distinct exponents in the larger factor, the other exponent
-    is the slot, and :func:`_row_product` multiplies the rows; one variable
-    is one row.  With none, or three or more, the terms are convolved one
-    pair at a time.
+    is the slot, and :func:`_row_product` multiplies the rows.  With any
+    other number of variables the terms are convolved one pair at a time.
     """
     if nvars == 2:
         big = A if len(A) >= len(B) else B
@@ -919,10 +918,6 @@ def _sparse_mul(A: dict, B: dict, nvars: int, p: int | None) -> dict:
             return {(s, i): c for (i, s), c in terms.items()}
 
         return swap(_row_product(swap(A), swap(B), p))
-    if nvars == 1:
-        out = _row_product({(0, *e): c for e, c in A.items()},
-                           {(0, *e): c for e, c in B.items()}, p)
-        return {e[1:]: c for e, c in out.items()}
     out: dict = {}
     for ea, x in A.items():
         for eb, y in B.items():

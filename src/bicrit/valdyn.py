@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 from .arith import INFINITY, _valuation, factor, val_p
 from .belyi import belyi_coeffs
-from .errors import DomainError, ResourceBudgetError
+from .errors import DomainError, ResourceBudgetError, spend_bits
 from .idf import IdfWitness, is_idf_prime
 from .polyring import SparsePoly
 
@@ -131,7 +131,9 @@ def orbit_val(start: int, params: ValParams, n_steps: int) -> list[TropVal]:
 
     Once a step is inexact, every later entry is flagged inexact as well:
     the three-term bound is monotone in v_x, so the values remain valid
-    lower bounds, but equalities can no longer be claimed.
+    lower bounds, but equalities can no longer be claimed.  A divergent
+    orbit's values grow like d^step: past EXACT_BIT_BUDGET bits in all,
+    ResourceBudgetError.
     """
     if start not in (0, 1):
         raise DomainError("orbit starts at the critical point 0 or 1")
@@ -140,8 +142,11 @@ def orbit_val(start: int, params: ValParams, n_steps: int) -> list[TropVal]:
     v = INFINITY if start == 0 else 0
     out: list[TropVal] = []
     exact_so_far = True
+    spent = 0
     for _ in range(n_steps):
         step = image_val(v, params)
+        if step.value is not INFINITY:
+            spent = spend_bits(spent, step.value)
         exact_so_far = exact_so_far and step.exact
         out.append(TropVal(step.value, exact_so_far))
         v = step.value

@@ -3,6 +3,7 @@ from math import factorial
 
 import pytest
 
+import bicrit.errors
 from bicrit.arith import val_p
 from bicrit.belyi import (
     belyi_coeffs,
@@ -13,14 +14,7 @@ from bicrit.belyi import (
 from bicrit.errors import DomainError, ResourceBudgetError
 from bicrit.idf import find_idf_prime
 from bicrit.polyring import SparsePoly, UniPoly
-from util import factorial_belyi_coeffs
-
-
-def derivative_identity_holds(b):
-    z = UniPoly((0, 1))
-    lhs = UniPoly(i * c for i, c in enumerate(b.polynomial().coeffs[1:], 1))
-    rhs = (b.d * b.coeffs[0]) * z ** (b.d - b.k - 1) * (z - 1) ** b.k
-    return lhs == rhs
+from util import derivative_identity_holds, factorial_belyi_coeffs, z_derivative
 
 
 class TestBelyiCoeffs:
@@ -146,8 +140,7 @@ class TestNCriticalForm:
             rhs = rhs * z ** (d - total - 1) * (z - 1) ** profile[0]
             for g, k_i in zip(gammas, profile[1:]):
                 rhs = rhs * (z - g) ** k_i
-            coeffs = dict(form.coeffs)
-            assert UniPoly(e * coeffs.get(e, 0) for e in range(1, d + 1)) == rhs
+            assert z_derivative(dict(form.coeffs)) == rhs
 
     def test_symbolic_derivative_factorization(self):
         # d/dz g(z, gamma) = 24 z (z - 1)(z - gamma) for the quartic family
@@ -190,3 +183,29 @@ class TestStep:
         c = SparsePoly.variable(2, 1)
         with pytest.raises(ResourceBudgetError):
             b.step(a, c, a + c, 3)
+
+
+def rational_bits(x):
+    x = Fraction(x)
+    return x.numerator.bit_length() + x.denominator.bit_length()
+
+
+class TestBitBudget:
+    """The forms hold at most EXACT_BIT_BUDGET bits of numerators and
+    denominators; one bit fewer than a form takes refuses it."""
+
+    @pytest.mark.parametrize("build, flatten", [
+        (lambda: belyi_coeffs(30, 10), lambda b: b.coeffs),
+        (lambda: ncritical_form(12, (3, 2), (Fraction(2, 3),)),
+         lambda f: [c for _, c in f.coeffs]),
+        (lambda: ncritical_form(12, (3, 2)),
+         lambda f: [x for _, c in f.coeffs for x in c.coeffs]),
+    ])
+    def test_refused_one_bit_short(self, monkeypatch, build, flatten):
+        form = build()
+        spent = sum(map(rational_bits, flatten(form)))
+        monkeypatch.setattr(bicrit.errors, "EXACT_BIT_BUDGET", spent)
+        assert build() == form
+        monkeypatch.setattr(bicrit.errors, "EXACT_BIT_BUDGET", spent - 1)
+        with pytest.raises(ResourceBudgetError):
+            build()

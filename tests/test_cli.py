@@ -423,6 +423,14 @@ class TestReports:
         assert code == 0
         assert rep["result"]["orbit"][-1]["value"] == "-" + ("1" + "0" * 39) * 109 + "1"
 
+    def test_orbit_past_the_bit_budget(self, capsys):
+        # the values take about 133 * n bits at step n: past 2^28 in all
+        # before step 2,100
+        code = main(BIG_ORBIT.replace("--steps 110", "--steps 100000").split())
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert "bit budget" in err
+
     @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-str limit")
     def test_int_str_limit_is_restored(self, capsys):
         saved = sys.get_int_max_str_digits()

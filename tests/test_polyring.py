@@ -949,15 +949,15 @@ class TestSparseProduct:
 
     @pytest.mark.parametrize("bits", (12, 40))
     def test_coefficients_at_the_slot_bound(self, bits):
-        # 255 terms of 2^bits - 1 a side: the middle coefficient takes all
-        # 32 or 88 bits of its magnitude, so its slot needs one more for the
-        # sign
+        # one row of 255 terms of 2^bits - 1 a side: the middle coefficient
+        # takes all 32 or 88 bits of its magnitude, so its slot needs one more
+        # for the sign
         top = 2**bits - 1
-        P = SparsePoly(1, {(i,): top for i in range(255)})
+        P = SparsePoly(2, {(0, i): top for i in range(255)})
         for Q in (P, -P):
             product = P * Q
             assert product == dict_mul(P, Q)
-            assert abs(product.terms[(254,)]) == 255 * top**2
+            assert abs(product.terms[0, 254]) == 255 * top**2
 
     def test_long_rows_of_wide_coefficients(self):
         # one dense row of 300 slots a side, coefficients of up to 200 bits,
@@ -965,7 +965,7 @@ class TestSparseProduct:
         rng = random.Random(7)
         for p, lo, hi in ((None, -(2**200), 2**200), (13, 0, 13), (2**61 - 1, 0, 2**61 - 1)):
             P, Q = (
-                SparsePoly(1, {(i,): rng.randrange(lo, hi) for i in range(n)}, p)
+                SparsePoly(2, {(0, i): rng.randrange(lo, hi) for i in range(n)}, p)
                 for n in (300, 250)
             )
             assert P * Q == dict_mul(P, Q)

@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+import bicrit.errors
 from bicrit.arith import INFINITY
-from bicrit.errors import DomainError
+from bicrit.errors import DomainError, ResourceBudgetError
 from bicrit.valdyn import (
     CaseTag,
     ValParams,
@@ -93,6 +94,17 @@ class TestOrbitVal:
     def test_integral_stays_nonnegative(self):
         seq = orbit_val(0, params(5, 1, 0, 1, 0, 0), 5)
         assert all(t.value >= 0 for t in seq)
+
+    def test_bit_budget(self, monkeypatch):
+        # -1, -6, -31, -156 take 1 + 3 + 5 + 8 bits, and a bit more each for
+        # the denominator 1: 21 in all; INFINITY takes none
+        diverging = params(5, 1, 0, 1, -1, -1)
+        monkeypatch.setattr(bicrit.errors, "EXACT_BIT_BUDGET", 21)
+        assert len(orbit_val(0, diverging, 4)) == 4
+        with pytest.raises(ResourceBudgetError):
+            orbit_val(0, diverging, 5)
+        monkeypatch.setattr(bicrit.errors, "EXACT_BIT_BUDGET", 0)
+        assert {t.value for t in orbit_val(0, params(5, 1, 0, 1, -1, INFINITY), 5)} == {INFINITY}
 
 
 class TestClassify:

@@ -27,6 +27,18 @@ def factorial_belyi_coeffs(d, k):
     return tuple(out)
 
 
+def z_derivative(coeffs):
+    """d/dz of the polynomial sum of c * z^e over {e: c}, as a UniPoly."""
+    return UniPoly(e * coeffs.get(e, 0) for e in range(1, max(coeffs) + 1))
+
+
+def derivative_identity_holds(b):
+    """B'(z) = d * b_0 * z^(d-k-1) * (z - 1)^k for the BelyiPoly b."""
+    z = UniPoly((0, 1))
+    rhs = (b.d * b.coeffs[0]) * z ** (b.d - b.k - 1) * (z - 1) ** b.k
+    return z_derivative(dict(enumerate(b.polynomial().coeffs))) == rhs
+
+
 def reduce_coeff(x, field):
     """A rational reduced into GF(p^e) with integer arithmetic alone."""
     x = Fraction(x)
